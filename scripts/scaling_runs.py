@@ -26,8 +26,7 @@ def run(seed: int, nodes: int, edges: int, horizon: int, scout_steps: int,
     for remaining in range(horizon, 1, -1):
         current = replace(scenario, horizon=remaining)
         t0 = time.perf_counter()
-        outcome = solve_scenario(current, SolveOptions(node_limit=node_limit,
-                                                       deterministic=True))
+        outcome = solve_scenario(current, SolveOptions(node_limit=node_limit))
         seconds = time.perf_counter() - t0
         print(f"{seed},{remaining},{compact_variable_count(current)},"
               f"{seconds:.3f},{outcome.result.status}")

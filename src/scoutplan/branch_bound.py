@@ -8,8 +8,8 @@ the model before acceptance, so a returned solution is always feasible and
 integral regardless of LP tolerances.
 
 The node pool could be served to concurrent workers as long as incumbent and
-bound updates stay atomic; the determinism flag (and this implementation)
-pins single-worker processing so identical inputs explore identical trees.
+bound updates stay atomic; this implementation processes nodes in a single
+worker, so identical inputs explore identical trees.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import milp
 from .simplex import Basis, LpProblem, LpSolver
@@ -42,7 +41,6 @@ class SolveOptions:
     branch_rule: str = MOST_FRACTIONAL
     node_limit: int | None = None
     time_limit: float | None = None     # seconds
-    deterministic: bool = True
     log_every: int = 0                  # emit a log line every N nodes (0 = off)
 
     def __post_init__(self):
@@ -70,31 +68,10 @@ class MilpResult:
 
 def model_to_lp(model: milp.Model) -> tuple[LpProblem, list[int]]:
     """LP relaxation of the model plus the ids of its integer variables."""
-    model.check()
-    n = len(model.variables)
-    obj = np.zeros(n)
-    for var, coef in model.objective.coeffs.items():
-        obj[var] = coef
-    lower = np.array([v.lower for v in model.variables], dtype=float)
-    upper = np.array([v.upper for v in model.variables], dtype=float)
-
-    data, indices, indptr = [], [], [0]
-    senses, rhs = [], []
-    for con in model.constraints:
-        for var, coef in sorted(con.expr.coeffs.items()):
-            indices.append(var)
-            data.append(coef)
-        indptr.append(len(indices))
-        senses.append({milp.Sense.LE: "L", milp.Sense.EQ: "E", milp.Sense.GE: "G"}[con.sense])
-        rhs.append(con.rhs - con.expr.constant)
-
-    rows = sp.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices), np.array(indptr)),
-        shape=(len(model.constraints), n),
-    )
-    problem = LpProblem(obj, rows, np.array(senses), np.array(rhs, dtype=float),
-                        lower, upper, constant=model.objective.constant)
-    return problem, model.integer_ids()
+    arrays = milp.model_arrays(model)
+    problem = LpProblem(arrays.objective, arrays.rows, arrays.senses, arrays.rhs,
+                        arrays.lower, arrays.upper, constant=arrays.constant)
+    return problem, np.flatnonzero(arrays.integer).tolist()
 
 
 @dataclass

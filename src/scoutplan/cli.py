@@ -31,7 +31,6 @@ def _solver_options(args) -> SolveOptions:
         gap=args.gap,
         node_limit=args.nodes_limit,
         time_limit=args.time_limit,
-        deterministic=args.deterministic,
         node_selection=args.node_selection,
     )
 
@@ -214,14 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", default="out",
                            help="output directory (default: out)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized generation")
         p.add_argument("--gap", type=float, default=1e-6,
                        help="absolute optimality gap")
         p.add_argument("--time-limit", type=float, default=None)
         p.add_argument("--nodes-limit", type=int, default=None)
         p.add_argument("--deterministic", action="store_true",
-                       help="deterministic solving; scrub wall times from outputs")
+                       help="scrub wall times from outputs")
         p.add_argument("--node-selection", default="best-bound",
                        choices=["best-bound", "depth-first"])
         p.add_argument("--dot", action="store_true",

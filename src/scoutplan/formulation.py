@@ -7,6 +7,9 @@ scout bookkeeping (edge-used flags, inspections, inspection ratios and their
 uncertainty relief) lives on undirected edges, since inspecting one direction
 reveals both.
 
+Every objective term is tagged with its cost category and step, and a plan's
+cost breakdown is those terms grouped, so it sums to the objective.
+
 build_model and extract_plan are pure functions of their inputs and safe to
 call concurrently on shared scenarios.
 """
@@ -51,6 +54,9 @@ class PlanVars:
       deployed[(v, t)]         t in [1, n_T-1]
       scout_unc[(ue, t)]       t in [1, n_T-1]
       inspected[(ue, t)]       t in [1, n_T-2]
+
+    cost_terms holds every objective term as (StepCost field, t, vid, coef);
+    vid is None for a constant term.
     """
 
     moved: dict
@@ -64,16 +70,7 @@ class PlanVars:
     scout_unc: dict
     inspected: dict
     reverse: dict
-
-    def family_counts(self) -> dict[str, int]:
-        return {
-            name: len(getattr(self, name))
-            for name in (
-                "moved", "carrier_at", "carrier_edge", "carrier_unc",
-                "inspect_ratio", "scout_at", "scout_edge", "deployed",
-                "scout_unc", "inspected",
-            )
-        }
+    cost_terms: list
 
 
 def compact_variable_count(scenario: Scenario) -> int:
@@ -131,7 +128,7 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
         dirs_of[g.uedge_of_location(loc)].append(loc)
 
     model = Model(name="teamplan")
-    pv = PlanVars({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {})
+    pv = PlanVars({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [])
 
     def new_var(family: str, key, kind, lower, upper, name) -> int:
         vid = model.add_var(kind, lower, upper, name)
@@ -178,26 +175,38 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
 
     # objective ---------------------------------------------------------------
     obj = LinExpr()
+
+    def cost(category: str, t: int, coef: float, vid: int | None = None):
+        """Add one tagged objective term; a constant when vid is None."""
+        if vid is None:
+            obj.constant += coef
+        else:
+            obj.add_term(vid, coef)
+        pv.cost_terms.append((category, t, vid, coef))
+
     for t in range(1, n_t + 1):
-        obj.add_term(pv.moved[t], tw.time * t)
+        cost("time_cost", t, tw.time * t, pv.moved[t])
         for loc in edge_locs:
             ue = g.uedge_of_location(loc)
-            obj.add_term(pv.carrier_edge[(loc, t)], tw.traversal * weight[ue])
-            obj.add_term(pv.carrier_at[(loc, t)], -tw.traversal * discount[ue])
-            obj.add_term(pv.carrier_unc[(loc, t)], tw.uncertainty)
+            cost("traversal_cost", t, tw.traversal * weight[ue],
+                 pv.carrier_edge[(loc, t)])
+            cost("traversal_cost", t, -tw.traversal * discount[ue],
+                 pv.carrier_at[(loc, t)])
+            cost("uncertainty_cost", t, tw.uncertainty, pv.carrier_unc[(loc, t)])
         for ue in uedges:
-            obj.add_term(pv.inspect_ratio[(ue, t)], -tw.uncertainty * unc[ue] * xi)
-            obj.constant += tw.uncertainty * unc[ue] * xi
+            cost("uncertainty_cost", t, -tw.uncertainty * unc[ue] * xi,
+                 pv.inspect_ratio[(ue, t)])
+            cost("uncertainty_cost", t, tw.uncertainty * unc[ue] * xi)
         if scouts and t <= n_t - 1:
             for v in nodes:
-                obj.add_term(pv.deployed[(v, t)], tw.launch * launch[v])
+                cost("launch_cost", t, tw.launch * launch[v], pv.deployed[(v, t)])
             for ue in uedges:
-                obj.add_term(pv.scout_unc[(ue, t)], tw.uncertainty)
+                cost("uncertainty_cost", t, tw.uncertainty, pv.scout_unc[(ue, t)])
             for s in range(1, n_tau + 1):
                 for loc in edge_locs:
                     ue = g.uedge_of_location(loc)
-                    obj.add_term(pv.scout_at[(loc, s, t)],
-                                 tw.traversal * zeta * weight[ue])
+                    cost("traversal_cost", t, tw.traversal * zeta * weight[ue],
+                         pv.scout_at[(loc, s, t)])
     model.objective = obj
 
     # constraints -------------------------------------------------------------
@@ -328,7 +337,6 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
                     expr.add_term(pv.inspected[(ue, t_h)], -coeff)
             model.add_constraint(expr, Sense.LE, 0.0, f"inspect_credit[{ue},{t}]")
 
-    model.check()
     return model, pv
 
 
@@ -355,6 +363,9 @@ class StepCost:
     def total(self) -> float:
         return (self.time_cost + self.traversal_cost
                 + self.uncertainty_cost + self.launch_cost)
+
+
+COST_CATEGORIES = ("time_cost", "traversal_cost", "uncertainty_cost", "launch_cost")
 
 
 @dataclass(frozen=True)
@@ -438,38 +449,10 @@ def extract_plan(solution, plan_vars: PlanVars, scenario: Scenario) -> Plan:
         if round(solution[vid]) == 1
     )
 
-    tw = scenario.term_weights
-    zeta, xi = scenario.scout_cost_scale, scenario.explore_weight
-    breakdown = []
-    for t in range(1, n_t + 1):
-        time_cost = tw.time * t * round(solution[pv.moved[t]])
-        traversal = 0.0
-        uncertainty = 0.0
-        launch = 0.0
-        for loc in range(g.n_nodes, g.n_locations):
-            ue = g.uedge_of_location(loc)
-            data = g.edge_data(ue)
-            traversal += tw.traversal * (
-                data.weight * round(solution[pv.carrier_edge[(loc, t)]])
-                - data.team_discount * count("carrier_at", (loc, t))
-            )
-            uncertainty += tw.uncertainty * solution[pv.carrier_unc[(loc, t)]]
-            if t <= n_t - 1:
-                for s in range(1, n_tau + 1):
-                    traversal += (tw.traversal * zeta * data.weight
-                                  * count("scout_at", (loc, s, t)))
-        for ue in range(len(g.uedges)):
-            u_hat = scenario.edge_uncertainty(ue)
-            uncertainty += (tw.uncertainty * u_hat * xi
-                            * (1.0 - solution[pv.inspect_ratio[(ue, t)]]))
-            if (ue, t) in pv.scout_unc:
-                uncertainty += tw.uncertainty * solution[pv.scout_unc[(ue, t)]]
-        for v in range(g.n_nodes):
-            if (v, t) in pv.deployed:
-                launch += (tw.launch * scenario.launch_cost(v)
-                           * count("deployed", (v, t)))
-        breakdown.append(StepCost(t, time_cost, traversal, uncertainty, launch))
-
+    sums = {t: dict.fromkeys(COST_CATEGORIES, 0.0) for t in range(1, n_t + 1)}
+    for category, t, vid, coef in pv.cost_terms:
+        sums[t][category] += coef if vid is None else coef * float(solution[vid])
+    breakdown = [StepCost(t, **sums[t]) for t in range(1, n_t + 1)]
     total = sum(step.total for step in breakdown)
     return Plan(tuple(routes), tuple(excursions), inspections,
                 tuple(breakdown), total)

@@ -4,6 +4,9 @@ Models are built incrementally (single writer) and then treated as immutable;
 a finished model can be shared across concurrent solvers.  The objective is
 always minimized.  Quadratic terms never appear here: cost products are
 linearized before they reach this layer.
+
+model_arrays is the one place a model's expressions become matrix form;
+evaluation, the LP relaxation and MPS export all read its result.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
+import scipy.sparse as sp
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -61,11 +67,6 @@ class LinExpr:
             self.coeffs[var] = new
         return self
 
-    def value(self, assignment) -> float:
-        return self.constant + sum(
-            coef * assignment[var] for var, coef in self.coeffs.items()
-        )
-
     def __repr__(self):
         terms = " + ".join(f"{c}*x{v}" for v, c in sorted(self.coeffs.items()))
         return f"LinExpr({terms or '0'} + {self.constant})"
@@ -88,6 +89,7 @@ class Model:
     constraints: list[Constraint] = field(default_factory=list)
     objective: LinExpr = field(default_factory=LinExpr)
     _names: set[str] = field(default_factory=set, repr=False)
+    _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def add_var(self, kind: str, lower: float, upper: float, name: str) -> int:
         if name in self._names:
@@ -109,18 +111,64 @@ class Model:
         self.constraints.append(Constraint(expr, sense, float(rhs), name))
         return len(self.constraints) - 1
 
-    def integer_ids(self) -> list[int]:
-        return [v.id for v in self.variables if v.kind in (BINARY, INTEGER)]
 
-    def check(self) -> None:
-        n = len(self.variables)
-        for con in self.constraints:
-            for var in con.expr.coeffs:
-                if not 0 <= var < n:
-                    raise ValueError(f"constraint {con.name!r} references unknown variable {var}")
-        for var in self.objective.coeffs:
+_SENSE_ROW = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
+
+
+@dataclass(frozen=True)
+class ModelArrays:
+    """min objective @ x + constant  s.t.  rows x {<=,==,>=} rhs,
+    lower <= x <= upper, x integral where integer is set.  Read-only."""
+
+    objective: np.ndarray
+    constant: float
+    rows: sp.csr_matrix
+    senses: np.ndarray          # one of "L", "E", "G" per row
+    rhs: np.ndarray             # constraint rhs minus the expression's constant
+    lower: np.ndarray
+    upper: np.ndarray
+    integer: np.ndarray         # True for binary and integer variables
+
+
+def model_arrays(model: Model) -> ModelArrays:
+    """The model's lowering to arrays, computed once and kept on the model.
+
+    A model that gains variables or constraints, or is given a new objective,
+    is lowered again; expressions are not edited once added to a model.
+    """
+    # LinExpr compares by identity, so a replaced objective changes the stamp
+    stamp = (len(model.variables), len(model.constraints), model.objective)
+    if model._arrays is not None and model._arrays[0] == stamp:
+        return model._arrays[1]
+    n = len(model.variables)
+    objective = np.zeros(n)
+    for var, coef in model.objective.coeffs.items():
+        if not 0 <= var < n:
+            raise ValueError(f"objective references unknown variable {var}")
+        objective[var] = coef
+    data, indices, indptr = [], [], [0]
+    for con in model.constraints:
+        for var, coef in sorted(con.expr.coeffs.items()):
             if not 0 <= var < n:
-                raise ValueError(f"objective references unknown variable {var}")
+                raise ValueError(f"constraint {con.name!r} references unknown variable {var}")
+            indices.append(var)
+            data.append(coef)
+        indptr.append(len(indices))
+    rows = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int64),
+                          np.array(indptr, dtype=np.int64)), shape=(len(model.constraints), n))
+    arrays = ModelArrays(
+        objective, model.objective.constant, rows,
+        np.array([_SENSE_ROW[con.sense] for con in model.constraints], dtype="<U1"),
+        np.array([con.rhs - con.expr.constant for con in model.constraints], dtype=float),
+        np.array([var.lower for var in model.variables], dtype=float),
+        np.array([var.upper for var in model.variables], dtype=float),
+        np.array([var.kind in (BINARY, INTEGER) for var in model.variables], dtype=bool),
+    )
+    for array in (objective, rows.data, rows.indices, rows.indptr, arrays.senses,
+                  arrays.rhs, arrays.lower, arrays.upper, arrays.integer):
+        array.flags.writeable = False
+    model._arrays = (stamp, arrays)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -145,40 +193,45 @@ def evaluate(model: Model, assignment, feas_tol: float = FEAS_TOL,
     """Objective value and all constraint/bound/integrality violations.
 
     assignment maps variable id to value (any indexable covering all ids).
+    A non-finite value is a bound violation of infinite amount.  Violations
+    come per variable in id order, bound before integrality, then per row.
     """
-    for var in model.variables:
-        try:
-            assignment[var.id]
-        except (KeyError, IndexError):
-            raise KeyError(f"assignment missing variable {var.name!r} (id {var.id})")
+    arrays = model_arrays(model)
+    n = len(model.variables)
+    if isinstance(assignment, np.ndarray) and len(assignment) >= n:
+        x = np.asarray(assignment[:n], dtype=float)
+    else:
+        for var in model.variables:
+            try:
+                assignment[var.id]
+            except (KeyError, IndexError):
+                raise KeyError(f"assignment missing variable {var.name!r} (id {var.id})")
+        x = np.array([assignment[i] for i in range(n)], dtype=float)
+
+    with np.errstate(invalid="ignore"):
+        bound_excess = np.where(np.isfinite(x), np.maximum(arrays.lower - x,
+                                                           x - arrays.upper), math.inf)
+        fraction = np.where(arrays.integer, np.abs(x - np.round(x)), 0.0)
+        slack = arrays.rows @ x - arrays.rhs
+        objective = arrays.constant + float(arrays.objective @ x)
+    row_excess = np.where(arrays.senses == "L", slack,
+                          np.where(arrays.senses == "G", -slack, np.abs(slack)))
 
     violations = []
-    for var in model.variables:
-        x = assignment[var.id]
-        if x < var.lower - feas_tol:
-            violations.append(Violation("bound", var.name, var.lower - x))
-        elif x > var.upper + feas_tol:
-            violations.append(Violation("bound", var.name, x - var.upper))
-        if var.kind in (BINARY, INTEGER) and abs(x - round(x)) > int_tol:
-            violations.append(Violation("integrality", var.name, abs(x - round(x))))
-
-    for con in model.constraints:
-        lhs = con.expr.value(assignment)
-        slack = lhs - con.rhs
-        if con.sense is Sense.LE and slack > feas_tol:
-            violations.append(Violation("constraint", con.name, slack))
-        elif con.sense is Sense.GE and slack < -feas_tol:
-            violations.append(Violation("constraint", con.name, -slack))
-        elif con.sense is Sense.EQ and abs(slack) > feas_tol:
-            violations.append(Violation("constraint", con.name, abs(slack)))
-
-    return EvalResult(model.objective.value(assignment), tuple(violations))
+    for i in np.flatnonzero((bound_excess > feas_tol) | (fraction > int_tol)):
+        if bound_excess[i] > feas_tol:
+            violations.append(Violation("bound", model.variables[i].name,
+                                        float(bound_excess[i])))
+        if fraction[i] > int_tol:
+            violations.append(Violation("integrality", model.variables[i].name,
+                                        float(fraction[i])))
+    for i in np.flatnonzero(row_excess > feas_tol):
+        violations.append(Violation("constraint", model.constraints[i].name,
+                                    float(row_excess[i])))
+    return EvalResult(objective, tuple(violations))
 
 
 # -- MPS export ---------------------------------------------------------------
-
-_SENSE_ROW = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-
 
 def _num(value: float) -> str:
     text = f"{value:.12g}"
@@ -194,24 +247,20 @@ def export_mps(model: Model) -> str:
     objective row is OBJ.  A nonzero objective constant is encoded as an RHS
     entry on OBJ (the usual convention: readers subtract it).
     """
+    arrays = model_arrays(model)
     lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    for i, con in enumerate(model.constraints):
-        lines.append(f" {_SENSE_ROW[con.sense]}  c{i}")
+    for i, sense in enumerate(arrays.senses):
+        lines.append(f" {sense}  c{i}")
 
-    by_col: dict[int, list[tuple[str, float]]] = {v.id: [] for v in model.variables}
-    for var, coef in model.objective.coeffs.items():
-        by_col[var].append(("OBJ", coef))
-    for i, con in enumerate(model.constraints):
-        for var, coef in sorted(con.expr.coeffs.items()):
-            by_col[var].append((f"c{i}", coef))
-
+    objective = arrays.objective.tolist()
+    columns = arrays.rows.tocsc()
     lines.append("COLUMNS")
     marker = 0
     in_int = False
     for var in model.variables:
-        is_int = var.kind in (BINARY, INTEGER)
+        is_int = arrays.integer[var.id]
         if is_int and not in_int:
             lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
             marker += 1
@@ -220,17 +269,19 @@ def export_mps(model: Model) -> str:
             lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
             marker += 1
             in_int = False
-        entries = by_col[var.id] or [("OBJ", 0.0)]
-        for row, coef in entries:
+        span = slice(columns.indptr[var.id], columns.indptr[var.id + 1])
+        entries = [("OBJ", objective[var.id])] if objective[var.id] != 0.0 else []
+        entries += [(f"c{row}", coef) for row, coef in
+                    zip(columns.indices[span].tolist(), columns.data[span].tolist())]
+        for row, coef in entries or [("OBJ", 0.0)]:
             lines.append(f"    x{var.id:<8} {row:<9} {_num(coef)}")
     if in_int:
         lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
 
     lines.append("RHS")
-    if model.objective.constant != 0.0:
-        lines.append(f"    RHS       {'OBJ':<9} {_num(-model.objective.constant)}")
-    for i, con in enumerate(model.constraints):
-        rhs = con.rhs - con.expr.constant
+    if arrays.constant != 0.0:
+        lines.append(f"    RHS       {'OBJ':<9} {_num(-arrays.constant)}")
+    for i, rhs in enumerate(arrays.rhs.tolist()):
         if rhs != 0.0:
             name = f"c{i}"
             lines.append(f"    RHS       {name:<9} {_num(rhs)}")

@@ -8,6 +8,7 @@ deterministic runs serialize byte-identically.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .executor import BeliefState, EdgeBelief, MissionLog, MissionStep
 from .formulation import Excursion, Plan, StepCost
@@ -57,16 +58,7 @@ def plan_to_dict(plan: Plan, scenario: Scenario) -> dict:
         "inspections": sorted(
             [_edge_label(scenario, ue), t] for ue, t in plan.inspections
         ),
-        "steps": [
-            {
-                "step": s.step,
-                "time_cost": s.time_cost,
-                "traversal_cost": s.traversal_cost,
-                "uncertainty_cost": s.uncertainty_cost,
-                "launch_cost": s.launch_cost,
-            }
-            for s in plan.breakdown
-        ],
+        "steps": [asdict(s) for s in plan.breakdown],
         "total_cost": plan.total_cost,
     }
 
@@ -85,11 +77,7 @@ def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
     inspections = frozenset(
         (_edge_index(scenario, label), int(t)) for label, t in doc["inspections"]
     )
-    breakdown = tuple(
-        StepCost(s["step"], s["time_cost"], s["traversal_cost"],
-                 s["uncertainty_cost"], s["launch_cost"])
-        for s in doc["steps"]
-    )
+    breakdown = tuple(StepCost(**s) for s in doc["steps"])
     return Plan(routes, excursions, inspections, breakdown, doc["total_cost"])
 
 

@@ -34,7 +34,7 @@ from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.graphs import EdgeData
 from scoutplan.planner import solve_scenario
 
-MISSION_OPTIONS = SolveOptions(node_limit=25, deterministic=True)
+MISSION_OPTIONS = SolveOptions(node_limit=25)
 
 # pinned regression values for the bundled scenario's ablation
 # (computed at the first green run of criterion 2; see the mission options)
@@ -71,7 +71,7 @@ def tiny_corpus():
     for seed in range(100):
         scenario = random_tiny_scenario(seed)
         model, plan_vars = build_model(scenario)
-        res = solve_milp(model, SolveOptions(deterministic=True))
+        res = solve_milp(model, SolveOptions())
         oracle = enumerate_optimal(scenario)
         cases.append(TinyCase(
             seed, scenario, res.status, res.objective, res.x, plan_vars,
@@ -228,8 +228,7 @@ def test_criterion_7_optimism_sweep(sweep_logs):
 def test_criterion_8_certified_solve(bundled):
     scenario, _ = bundled
     start = time.monotonic()
-    outcome = solve_scenario(scenario, SolveOptions(time_limit=120.0,
-                                                    deterministic=True))
+    outcome = solve_scenario(scenario, SolveOptions(time_limit=120.0))
     elapsed = time.monotonic() - start
     result = outcome.result
     report("8 (certified solve within 120 s)",
@@ -265,7 +264,7 @@ def test_criterion_10_mission_determinism(tmp_path, ablation_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         code = cli_main(["simulate", str(ablation_path), "-o", str(out),
-                         "--deterministic", "--seed", "11",
+                         "--deterministic",
                          "--nodes-limit", "25"])
         assert code == 0
     same = ((out_a / "mission.json").read_bytes()

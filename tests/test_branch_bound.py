@@ -90,6 +90,15 @@ class TestStatuses:
         if res.status == "feasible":
             assert res.objective >= res.best_bound - 1e-9
 
+    def test_nan_initial_incumbent_is_ignored(self):
+        model, values, weights = knapsack_model()
+        seed = np.zeros(len(model.variables))
+        seed[0] = math.nan
+        res = solve_milp(model, initial_incumbent=seed)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
+        assert np.all(np.isfinite(res.x))
+
     def test_gap_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveOptions(gap=0.0)
@@ -100,8 +109,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("rule", [MOST_FRACTIONAL, LOWEST_INDEX])
     def test_identical_runs(self, selection, rule):
         model, _, _ = knapsack_model()
-        opts = SolveOptions(node_selection=selection, branch_rule=rule,
-                            deterministic=True)
+        opts = SolveOptions(node_selection=selection, branch_rule=rule)
         a = solve_milp(model, opts)
         b = solve_milp(model, opts)
         assert a.status == b.status == "optimal"

@@ -108,7 +108,7 @@ class TestSimulate:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
             assert main(["simulate", str(small_path), "-o", str(out),
-                         "--deterministic", "--seed", "7"]) == 0
+                         "--deterministic"]) == 0
         assert ((out_a / "mission.json").read_bytes()
                 == (out_b / "mission.json").read_bytes())
         assert ((out_a / "mission_costs.csv").read_bytes()

@@ -127,8 +127,8 @@ class TestRunMission:
     def test_deterministic_repetition(self):
         sc = line_scenario(scout_count=1, scout_steps=4)
         truth = GroundTruth.constant(sc)
-        a = run_mission(sc, truth, SolveOptions(deterministic=True))
-        b = run_mission(sc, truth, SolveOptions(deterministic=True))
+        a = run_mission(sc, truth, SolveOptions())
+        b = run_mission(sc, truth, SolveOptions())
         assert a.status == b.status
         assert a.route_true_cost == b.route_true_cost
         assert [s.positions_after for s in a.steps] == [s.positions_after for s in b.steps]

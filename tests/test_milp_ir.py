@@ -2,6 +2,7 @@ import itertools
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scoutplan import milp
@@ -95,6 +96,43 @@ class TestEvaluate:
         with pytest.raises(KeyError):
             milp.evaluate(self.model(), {})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_is_infeasible(self, value):
+        m = Model()
+        y = m.add_var(CONTINUOUS, 0, math.inf, "y")
+        m.add_constraint(LinExpr({y: 1.0}), Sense.GE, 1.0, "atleast1")
+        res = milp.evaluate(m, {y: value})
+        assert not res.feasible
+        assert [(v.kind, v.name) for v in res.violations] == [("bound", "y")]
+
+
+class TestLowering:
+    def test_row_added_after_evaluation_is_checked(self):
+        m = TestEvaluate().model()
+        assert milp.evaluate(m, {0: 3.0}).feasible
+        m.add_constraint(LinExpr({0: 1.0}), Sense.LE, 2.0, "atmost2")
+        res = milp.evaluate(m, {0: 3.0})
+        assert [(v.kind, v.name, v.amount) for v in res.violations] == [
+            ("constraint", "atmost2", 1.0)]
+
+    def test_variable_added_after_lowering_changes_shape(self):
+        from scoutplan import model_to_lp
+
+        m = tiny_model()
+        problem, _ = model_to_lp(m)
+        assert problem.rows.shape == (3, 3)
+        m.add_var(CONTINUOUS, 0, 1, "w")
+        problem, _ = model_to_lp(m)
+        assert problem.rows.shape == (3, 4)
+        assert len(problem.objective) == len(problem.lower) == 4
+
+    def test_arrays_are_read_only(self):
+        arrays = milp.model_arrays(tiny_model())
+        with pytest.raises(ValueError):
+            arrays.objective[0] = 1.0
+        with pytest.raises(ValueError):
+            arrays.rows.data[0] = 1.0
+
 
 class TestMps:
     def test_golden_file(self):
@@ -164,7 +202,7 @@ def parse_mps(text: str):
 def brute_force_optimum(model: Model):
     """Enumerate the integer lattice; continuous vars sit at their best bound
     per objective sign (models below keep continuous vars unconstrained)."""
-    int_ids = model.integer_ids()
+    int_ids = np.flatnonzero(milp.model_arrays(model).integer).tolist()
     grids = [range(int(model.variables[i].lower), int(model.variables[i].upper) + 1)
              for i in int_ids]
     best = math.inf

@@ -152,5 +152,13 @@ class TestRoundTrip:
         if res.status != "optimal":
             pytest.skip("infeasible instance")
         plan = extract_plan(res.x, pv, sc)
-        _, total = evaluate_plan_cost(sc, plan)
+        steps, total = evaluate_plan_cost(sc, plan)
         assert total == pytest.approx(res.objective, abs=1e-9)
+        assert plan.total_cost == pytest.approx(res.objective, abs=1e-9)
+        assert len(plan.breakdown) == len(steps)
+        for got, want in zip(plan.breakdown, steps):
+            assert got.step == want.step
+            for field in ("time_cost", "traversal_cost", "uncertainty_cost",
+                          "launch_cost"):
+                assert getattr(got, field) == pytest.approx(
+                    getattr(want, field), abs=1e-9), (got.step, field)
