@@ -527,6 +527,9 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars,
     return x
 
 
+_TIE_TOL = 1e-9             # relaxation values this close to a tie count as tied
+
+
 def heuristic_plan_from_relaxation(x, plan_vars: PlanVars, scenario: Scenario):
     """Round a fractional relaxation into a structurally valid plan by greedy
     largest-mass flow following (id order breaking ties).  Returns
@@ -557,7 +560,10 @@ def heuristic_plan_from_relaxation(x, plan_vars: PlanVars, scenario: Scenario):
                     present[loc] = present.get(loc, 0) + 1
             budget = scenario.scout_count
             for v in sorted(present, key=lambda v: -x[pv.deployed[(v, t)]]):
-                want = int(round(x[pv.deployed[(v, t)]]))
+                # half a scout or less stays aboard, so that a relaxation
+                # sitting on a tie (1.5 give or take rounding noise) always
+                # gives the same plan
+                want = math.floor(x[pv.deployed[(v, t)]] + 0.5 - _TIE_TOL)
                 count = min(want, present[v], budget)
                 if count <= 0:
                     continue

@@ -1,19 +1,22 @@
-"""High-level single-solve pipeline: model, warm starts, exact search, plan.
+"""High-level single-solve pipeline: model, presolve, warm starts, exact
+search, plan.
 
-Two seeds accelerate the exact search without touching its answer: the LP
-relaxation's basis warm-starts the root, and the better of two incumbent
-candidates (greedy rounding of the relaxation, and a schedule enumeration of
-blob routes with scouted stops) is handed to branch and bound after being
-verified against the model.
+The relaxation is solved on the presolved problem, the same reduction branch
+and bound searches, so two seeds accelerate the exact search without
+touching its answer: the relaxation's basis warm-starts the root, and the
+best incumbent candidate (greedy rounding of the relaxation, the caller's
+seed plan, and a schedule enumeration of blob routes with scouted stops) is
+handed to branch and bound after being verified against the model.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 from . import milp
-from .branch_bound import MilpResult, SolveOptions, model_to_lp, solve_milp
+from .branch_bound import MilpResult, SolveOptions, model_to_lp, presolve, solve_milp
 from .formulation import (
     Excursion,
     Plan,
@@ -176,10 +179,16 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     seed_plan, when given as (carrier_routes, scout_excursions), joins the
     incumbent candidates; a receding-horizon caller passes the previous
     plan's tail here so successive solves never regress below it.
+    options.time_limit covers the whole call: the time spent on the model,
+    the relaxation and the seeds is taken from what the search gets.
     """
+    options = options or SolveOptions()
+    t_start = time.monotonic()
     model, plan_vars = build_model(scenario, inspection_decay=inspection_decay)
-    problem, _ = model_to_lp(model)
-    relaxation = LpSolver(problem).solve()
+    presolved = presolve(*model_to_lp(model), int_tol=options.int_tol)
+    relaxation = None
+    if not presolved.infeasible:
+        relaxation = LpSolver(presolved.problem).solve()
 
     incumbent = None
     incumbent_obj = None
@@ -194,10 +203,10 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
             incumbent, incumbent_obj = assignment, check.objective
 
     root_basis = None
-    if relaxation.status == "optimal":
+    if relaxation is not None and relaxation.status == "optimal":
         root_basis = relaxation.basis
         routes, excursions = heuristic_plan_from_relaxation(
-            relaxation.x, plan_vars, scenario)
+            presolved.expand(relaxation.x), plan_vars, scenario)
         offer(plan_to_assignment(routes, excursions, plan_vars, scenario,
                                  inspection_decay=inspection_decay))
 
@@ -212,6 +221,9 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     offer(structured_candidate(scenario, plan_vars, model,
                                inspection_decay=inspection_decay))
 
+    if options.time_limit is not None:
+        spent = time.monotonic() - t_start
+        options = replace(options, time_limit=max(options.time_limit - spent, 0.0))
     result = solve_milp(model, options, initial_incumbent=incumbent,
                         root_basis=root_basis)
     plan = None

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from scoutplan.branch_bound import (
     MilpResult,
     SolveOptions,
     model_to_lp,
+    presolve,
     solve_milp,
 )
+from scoutplan.formulation import build_model
+from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
+from scoutplan.scenario import load_scenario_file
 from scoutplan.simplex import solve_lp
 
 
@@ -189,3 +194,138 @@ class TestRelaxationBound:
         exact = solve_milp(model)
         assert relax.status == "optimal" and exact.status == "optimal"
         assert relax.objective <= exact.objective + 1e-6
+
+
+def forward_unreachable(scenario):
+    """(location, step) pairs no carrier can reach from the starts."""
+    graph = scenario.graph
+    reach = {loc for loc, _ in scenario.starts}
+    out = []
+    for t in range(1, scenario.horizon + 1):
+        out += [(loc, t) for loc in range(graph.n_locations) if loc not in reach]
+        reach = {succ for loc in reach for succ in graph.successors[loc]}
+    return out
+
+
+def corpus_scenario(kind, seed):
+    if kind == "tiny":
+        return random_tiny_scenario(seed)
+    if kind == "bundled":
+        return load_scenario_file(Path(__file__).parent.parent / "scenarios"
+                                  / "ablation8.json")[0]
+    return random_scaling_scenario(seed, 5, 7, 5, 3)
+
+
+def fixed_and_free_model():
+    """a is forced to 1, which forces b to 0; c and d stay free."""
+    m = Model(name="fixings")
+    a = m.add_var(BINARY, 0, 1, "a")
+    b = m.add_var(BINARY, 0, 1, "b")
+    c = m.add_var(CONTINUOUS, 0, 4, "c")
+    d = m.add_var(INTEGER, 0, 5, "d")
+    m.objective = LinExpr({a: 2.0, b: 3.0, c: -1.0, d: -1.0})
+    m.add_constraint(LinExpr({a: 1.0}), Sense.GE, 1.0, "force")
+    m.add_constraint(LinExpr({a: 1.0, b: 1.0}), Sense.LE, 1.0, "pick_one")
+    m.add_constraint(LinExpr({c: 1.0, d: 1.0}), Sense.LE, 6.0, "budget")
+    m.add_constraint(LinExpr({c: 1.0, d: -1.0}), Sense.GE, -2.0, "balance")
+    return m
+
+
+class TestPresolve:
+    @pytest.mark.parametrize("kind, seed", [
+        *(("tiny", seed) for seed in range(20)),
+        *(("scaling", seed) for seed in range(3)), ("bundled", 0),
+    ])
+    def test_fixes_every_forward_unreachable_carrier_position(self, kind, seed):
+        scenario = corpus_scenario(kind, seed)
+        model, plan_vars = build_model(scenario)
+        presolved = presolve(*model_to_lp(model))
+        assert not presolved.infeasible
+        kept = set(presolved.columns.tolist())
+        for key in forward_unreachable(scenario):
+            vid = plan_vars.carrier_at[key]
+            assert vid not in kept, key
+            assert presolved.values[vid] == 0.0, key
+
+    def test_expand_puts_fixed_values_back(self):
+        model = fixed_and_free_model()
+        presolved = presolve(*model_to_lp(model))
+        assert presolved.columns.tolist() == [2, 3]
+        assert presolved.int_ids == [1]
+        assert presolved.problem.rows.shape == (2, 2)
+        x = np.array([1.5, 3.0])
+        full = presolved.expand(x)
+        assert full.tolist() == [1.0, 0.0, 1.5, 3.0]
+        # the constant absorbs the fixed columns' objective
+        reduced_obj = presolved.problem.objective @ x + presolved.problem.constant
+        assert reduced_obj == pytest.approx(milp.evaluate(model, full).objective)
+        res = solve_milp(model)
+        assert res.status == "optimal"
+        assert res.x.tolist()[:2] == [1.0, 0.0]
+        assert res.objective == pytest.approx(2.0 - 6.0)
+        assert milp.evaluate(model, res.x).feasible
+
+    def test_infeasible_bound_system_is_reported(self):
+        m = Model()
+        x = m.add_var(INTEGER, 0, 3, "x")
+        y = m.add_var(INTEGER, 0, 3, "y")
+        # x <= 1 - y <= 1 and x >= 2 + y >= 2: the bounds cross, no LP needed
+        m.add_constraint(LinExpr({x: 1.0, y: 1.0}), Sense.LE, 1.0, "low")
+        m.add_constraint(LinExpr({x: 1.0, y: -1.0}), Sense.GE, 2.0, "high")
+        assert presolve(*model_to_lp(m)).infeasible
+        res = solve_milp(m)
+        assert res.status == "infeasible" and res.nodes == 0 and res.x is None
+
+    def test_violated_empty_row_is_infeasible(self):
+        m = Model()
+        x = m.add_var(BINARY, 0, 1, "x")
+        y = m.add_var(BINARY, 0, 1, "y")
+        m.add_constraint(LinExpr({x: 1.0}), Sense.EQ, 1.0, "fix_x")
+        m.add_constraint(LinExpr({x: 1.0}), Sense.LE, 0.5, "after_fix")
+        m.add_constraint(LinExpr({y: 1.0}), Sense.LE, 1.0, "free_y")
+        assert presolve(*model_to_lp(m)).infeasible
+
+    @pytest.mark.parametrize("kind, seed", [
+        *(("tiny", seed) for seed in range(10)), ("scaling", 0),
+    ])
+    def test_reduced_root_bound_is_at_least_the_full_one(self, kind, seed):
+        model, _ = build_model(corpus_scenario(kind, seed))
+        problem, int_ids = model_to_lp(model)
+        presolved = presolve(problem, int_ids)
+        full = solve_lp(problem)
+        if presolved.infeasible:
+            assert full.status == "infeasible"
+            return
+        reduced = solve_lp(presolved.problem)
+        assert full.status == reduced.status
+        if full.status == "optimal":
+            assert reduced.objective >= full.objective - 1e-7
+
+
+def highs_optimum(model):
+    """The optimum HiGHS certifies on the unreduced model_to_lp lowering."""
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize import milp as highs_milp
+
+    problem, int_ids = model_to_lp(model)
+    lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
+    ub = np.where(problem.senses == "G", np.inf, problem.rhs)
+    integrality = np.zeros(len(problem.objective))
+    integrality[int_ids] = 1
+    res = highs_milp(problem.objective,
+                     constraints=LinearConstraint(problem.rows, lb, ub),
+                     integrality=integrality,
+                     bounds=Bounds(problem.lower, problem.upper),
+                     options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return float(res.fun) + problem.constant
+
+
+class TestAgainstHighs:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_scaling_optimum_matches_highs(self, seed):
+        model, _ = build_model(random_scaling_scenario(seed, 5, 7, 5, 3))
+        res = solve_milp(model)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(highs_optimum(model), abs=1e-6)
+        assert milp.evaluate(model, res.x).feasible

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from scoutplan import (
@@ -9,6 +10,7 @@ from scoutplan import (
     compact_variable_count,
     decay_coefficients,
     extract_plan,
+    heuristic_plan_from_relaxation,
     paper_parity_variable_count,
     solve_milp,
 )
@@ -205,3 +207,17 @@ class TestMonotonicity:
             upgraded = solve_milp(richer_model)
             assert upgraded.status == "optimal"
             assert upgraded.objective <= base.objective + 1e-6
+
+
+class TestRelaxationRounding:
+    @pytest.mark.parametrize("deployed, launches", [
+        (0.5, 0), (0.6, 1), (1.5 - 1e-14, 1), (1.5, 1), (1.5 + 1e-14, 1),
+        (1.6, 2),
+    ])
+    def test_deployment_ties_round_down(self, deployed, launches):
+        sc = small_scenario(scout_count=2, horizon=3)
+        model, pv = build_model(sc)
+        x = np.zeros(len(model.variables))
+        x[pv.deployed[(0, 1)]] = deployed
+        _, excursions = heuristic_plan_from_relaxation(x, pv, sc)
+        assert sum(exc.step == 1 for exc in excursions) == launches

@@ -9,8 +9,10 @@ from scoutplan import (
     evaluate_plan_cost,
     extract_plan,
     solve_milp,
+    structured_candidate,
 )
-from scoutplan.generate import random_tiny_scenario
+from scoutplan import milp
+from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.graphs import EdgeData, Graph
 from scoutplan.scenario import Scenario, TermWeights
 
@@ -143,6 +145,22 @@ class TestEnumerate:
         assert milp_res.objective == pytest.approx(oracle.objective, abs=1e-6)
 
 
+def assert_round_trip(scenario, plan_vars, x, objective):
+    """extract_plan's breakdown equals evaluate_plan_cost field by field."""
+    plan = extract_plan(x, plan_vars, scenario)
+    steps, total = evaluate_plan_cost(scenario, plan)
+    assert total == pytest.approx(objective, abs=1e-9)
+    assert plan.total_cost == pytest.approx(objective, abs=1e-9)
+    assert len(plan.breakdown) == len(steps)
+    for got, want in zip(plan.breakdown, steps):
+        assert got.step == want.step
+        for field in ("time_cost", "traversal_cost", "uncertainty_cost",
+                      "launch_cost"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), abs=1e-9), (got.step, field)
+    return plan
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(0, 40, 3))
     def test_extracted_plan_cost_matches_ir_objective(self, seed):
@@ -151,14 +169,26 @@ class TestRoundTrip:
         res = solve_milp(model, SolveOptions())
         if res.status != "optimal":
             pytest.skip("infeasible instance")
-        plan = extract_plan(res.x, pv, sc)
-        steps, total = evaluate_plan_cost(sc, plan)
-        assert total == pytest.approx(res.objective, abs=1e-9)
-        assert plan.total_cost == pytest.approx(res.objective, abs=1e-9)
-        assert len(plan.breakdown) == len(steps)
-        for got, want in zip(plan.breakdown, steps):
-            assert got.step == want.step
-            for field in ("time_cost", "traversal_cost", "uncertainty_cost",
-                          "launch_cost"):
-                assert getattr(got, field) == pytest.approx(
-                    getattr(want, field), abs=1e-9), (got.step, field)
+        assert_round_trip(sc, pv, res.x, res.objective)
+
+    # the tiny optima above never deploy a scout; these plans do, so a
+    # mis-filed launch or scout term shows in their breakdown
+
+    @staticmethod
+    def assert_structured_seed_flies_scouts(sc):
+        model, pv = build_model(sc)
+        x = structured_candidate(sc, pv, model)
+        check = milp.evaluate(model, x)
+        assert check.feasible
+        plan = assert_round_trip(sc, pv, x, check.objective)
+        assert plan.scout_excursions
+        assert any(step.launch_cost > 0 for step in plan.breakdown)
+
+    def test_bundled_structured_seed_flies_scouts(self, ablation_scenario):
+        self.assert_structured_seed_flies_scouts(ablation_scenario[0])
+
+    @pytest.mark.parametrize("seed, size", [
+        (0, (5, 7, 6, 4)), (1, (4, 5, 5, 4)), (2, (4, 5, 5, 4)), (3, (4, 5, 5, 4)),
+    ])
+    def test_scaling_structured_seed_flies_scouts(self, seed, size):
+        self.assert_structured_seed_flies_scouts(random_scaling_scenario(seed, *size))
