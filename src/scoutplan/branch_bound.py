@@ -6,12 +6,14 @@ fixpoint, then fixed columns leave the problem.  The search runs over the
 remaining columns and expands every point back to the full model before it
 is evaluated or returned.
 
-Branching forbids the fractional value on both children via floor/ceil bound
-tightening.  Node selection is best-bound by default (depth-first available
-for memory-light dives); branching picks the most fractional integer
-variable with lowest-id tie-breaking.  Every incumbent is re-checked against
-the model before acceptance, so a returned solution is always feasible and
-integral regardless of LP tolerances.
+Each node costs one LP solve, and a cold retry when its warm start stalls.
+Branching forbids the fractional value on both children via floor/ceil
+bound tightening.  Node selection is best-bound by default (depth-first
+available for memory-light dives); branching picks the most fractional
+integer variable with lowest-id tie-breaking.  Incumbents come from the
+caller's seed and from nodes whose relaxation is integral.  Every incumbent
+is re-checked against the model before acceptance, so a returned solution is
+always feasible and integral regardless of LP tolerances.
 
 The node pool could be served to concurrent workers as long as incumbent and
 bound updates stay atomic; this implementation processes nodes in a single
@@ -35,8 +37,6 @@ log = logging.getLogger("scoutplan.branch_bound")
 
 BEST_BOUND = "best-bound"
 DEPTH_FIRST = "depth-first"
-MOST_FRACTIONAL = "most-fractional"
-LOWEST_INDEX = "lowest-index"
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class SolveOptions:
     gap: float = 1e-6                   # absolute optimality gap
     int_tol: float = 1e-6
     node_selection: str = BEST_BOUND
-    branch_rule: str = MOST_FRACTIONAL
     node_limit: int | None = None
     time_limit: float | None = None     # seconds
     log_every: int = 0                  # emit a log line every N nodes (0 = off)
@@ -54,8 +53,6 @@ class SolveOptions:
             raise ValueError("tolerances must be positive")
         if self.node_selection not in (BEST_BOUND, DEPTH_FIRST):
             raise ValueError(f"unknown node selection {self.node_selection!r}")
-        if self.branch_rule not in (MOST_FRACTIONAL, LOWEST_INDEX):
-            raise ValueError(f"unknown branch rule {self.branch_rule!r}")
 
 
 @dataclass
@@ -249,47 +246,15 @@ def _fractional(x, int_ids, tol):
     return out
 
 
-def _rounding_dive(solver, model, presolved, lower, upper, basis, options,
-                   max_rounds=400):
-    """Walk the relaxation to an integer point by repeatedly fixing the most
-    roundable integer variables and re-solving.  Returns the full-space point
-    and its objective when the evaluation finds it feasible, else None;
-    soundness rests on that evaluation, not on the walk."""
-    int_ids = presolved.int_ids
-    lo, hi = lower.copy(), upper.copy()
-    warm = basis
-    for _ in range(max_rounds):
-        res = solver.solve(warm_start=warm, lower=lo, upper=hi)
-        if res.status != "optimal":
-            return None
-        warm = res.basis
-        fractional = _fractional(res.x, int_ids, options.int_tol)
-        if not fractional:
-            snapped = res.x.copy()
-            for vid in int_ids:
-                snapped[vid] = min(max(round(snapped[vid]), lo[vid]), hi[vid])
-            full = presolved.expand(snapped)
-            check = milp.evaluate(model, full, int_tol=options.int_tol)
-            return (full, check.objective) if check.feasible else None
-        near = [(vid, frac) for vid, frac in fractional
-                if min(frac, 1.0 - frac) <= 0.1]
-        if not near:
-            near = [min(fractional, key=lambda vf: min(vf[1], 1.0 - vf[1]))]
-        for vid, _ in near:
-            value = min(max(round(res.x[vid]), lo[vid]), hi[vid])
-            lo[vid] = hi[vid] = value
-    return None
-
-
 def solve_milp(model: milp.Model, options: SolveOptions | None = None,
                initial_incumbent=None, root_basis: Basis | None = None) -> MilpResult:
     """Minimize the model exactly (to the gap tolerance) by branch and bound.
 
-    initial_incumbent seeds the search with a known assignment (it is
-    re-checked against the model before use); root_basis warm-starts the root
-    relaxation of the presolved problem.  The search runs over the presolved
-    columns; every point is expanded to the full space before it is evaluated
-    or returned.
+    initial_incumbent seeds the search with a known assignment in any form
+    milp.evaluate reads (it is re-checked against the model before use);
+    root_basis warm-starts the root relaxation of the presolved problem.  The
+    search runs over the presolved columns; every point is expanded to the
+    full space before it is evaluated or returned.
     """
     options = options or SolveOptions()
     t_start = time.monotonic()
@@ -326,14 +291,10 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         bounds = [node.bound for node in stack] + [item[1].bound for item in heap]
         return min(bounds) if bounds else math.inf
 
-    def accept(full_x, obj):
-        """Take an evaluated, feasible full-space point if it improves."""
-        nonlocal incumbent_x, incumbent_obj
-        if obj < incumbent_obj - 1e-12:
-            incumbent_x, incumbent_obj = full_x, obj
-
     def try_incumbent(x, obj):
-        """Offer a reduced-space point: its integers snapped, else as is."""
+        """Offer a reduced-space point: its integers snapped, else as is.
+        The first candidate the model finds feasible is taken if it improves."""
+        nonlocal incumbent_x, incumbent_obj
         if obj >= incumbent_obj - 1e-12:
             return
         snapped = x.copy()
@@ -343,14 +304,15 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             full = presolved.expand(candidate)
             check = milp.evaluate(model, full, int_tol=options.int_tol)
             if check.feasible:
-                accept(full, check.objective)
+                if check.objective < incumbent_obj - 1e-12:
+                    incumbent_x, incumbent_obj = full, check.objective
                 return
 
     if initial_incumbent is not None:
-        seeded = milp.evaluate(model, initial_incumbent, int_tol=options.int_tol)
+        seed = milp.assignment_vector(model, initial_incumbent)
+        seeded = milp.evaluate(model, seed, int_tol=options.int_tol)
         if seeded.feasible:
-            incumbent_x = np.asarray(initial_incumbent, dtype=float).copy()
-            incumbent_obj = seeded.objective
+            incumbent_x, incumbent_obj = seed, seeded.objective
 
     root = _Node(-math.inf, seq, 0, {}, root_basis)
     push(root)
@@ -403,39 +365,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             try_incumbent(res.x, node_obj)
             continue
 
-        # fix-and-complete heuristic: freeze integers at rounded values and
-        # re-optimize the continuous completion.  Besides finding incumbents,
-        # a completion matching the node bound proves the node solved, which
-        # fathoms ties where integral variables idle at degenerate fractions.
-        if len(fractional) <= 80:
-            fix_lo, fix_hi = lower.copy(), upper.copy()
-            for vid in int_ids:
-                snapped = min(max(round(res.x[vid]), lower[vid]), upper[vid])
-                fix_lo[vid] = fix_hi[vid] = snapped
-            completion = solver.solve(warm_start=res.basis, lower=fix_lo,
-                                      upper=fix_hi)
-            if completion.status == "optimal":
-                comp_check = milp.evaluate(model, presolved.expand(completion.x),
-                                           int_tol=options.int_tol)
-                if comp_check.feasible:
-                    try_incumbent(completion.x, comp_check.objective)
-                    if comp_check.objective <= node_obj + options.gap:
-                        continue    # bound-tight completion: node solved
-
-        # a rounding dive hunts incumbents while none exist; it walks tie
-        # plateaus the one-shot completion cannot
-        if incumbent_x is None and nodes % 10 == 1:
-            dived = _rounding_dive(solver, model, presolved, lower, upper,
-                                   res.basis, options)
-            if dived is not None:
-                accept(*dived)
-                if dived[1] <= node_obj + options.gap:
-                    continue
-
-        if options.branch_rule == LOWEST_INDEX:
-            branch_var, frac = fractional[0]
-        else:
-            branch_var, frac = max(fractional, key=lambda vf: min(vf[1], 1.0 - vf[1]))
+        branch_var, frac = max(fractional, key=lambda vf: min(vf[1], 1.0 - vf[1]))
         value = res.x[branch_var]
         floor_side = dict(node.overrides)
         floor_side[branch_var] = (lower[branch_var], math.floor(value))

@@ -188,25 +188,30 @@ class EvalResult:
         return not self.violations
 
 
+def assignment_vector(model: Model, assignment) -> np.ndarray:
+    """A fresh float vector of the model's values from any indexable that
+    maps every variable id to its value (array, list or dict)."""
+    n = len(model.variables)
+    if isinstance(assignment, np.ndarray) and len(assignment) >= n:
+        return np.array(assignment[:n], dtype=float)
+    for var in model.variables:
+        try:
+            assignment[var.id]
+        except (KeyError, IndexError):
+            raise KeyError(f"assignment missing variable {var.name!r} (id {var.id})")
+    return np.array([assignment[i] for i in range(n)], dtype=float)
+
+
 def evaluate(model: Model, assignment, feas_tol: float = FEAS_TOL,
              int_tol: float = INT_TOL) -> EvalResult:
     """Objective value and all constraint/bound/integrality violations.
 
-    assignment maps variable id to value (any indexable covering all ids).
+    assignment maps variable id to value, read by assignment_vector.
     A non-finite value is a bound violation of infinite amount.  Violations
     come per variable in id order, bound before integrality, then per row.
     """
     arrays = model_arrays(model)
-    n = len(model.variables)
-    if isinstance(assignment, np.ndarray) and len(assignment) >= n:
-        x = np.asarray(assignment[:n], dtype=float)
-    else:
-        for var in model.variables:
-            try:
-                assignment[var.id]
-            except (KeyError, IndexError):
-                raise KeyError(f"assignment missing variable {var.name!r} (id {var.id})")
-        x = np.array([assignment[i] for i in range(n)], dtype=float)
+    x = assignment_vector(model, assignment)
 
     with np.errstate(invalid="ignore"):
         bound_excess = np.where(np.isfinite(x), np.maximum(arrays.lower - x,

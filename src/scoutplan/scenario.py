@@ -183,7 +183,7 @@ def _require(mapping: dict, allowed: set[str], context: str) -> None:
 def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     """Parse and validate a scenario document.
 
-    Top-level keys: nodes (list of string labels), edges (list of
+    Top-level keys: nodes (list of string labels without '-'), edges (list of
     {a, b, w, u_lower, u_upper, r}), team {n_A, n_K}, horizon {n_T, n_tau},
     params {zeta, xi, lambda, beta, launch_scale, term_weights}, starts
     [{node, count}], goals [{node, min_count}], optional ground_truth mapping
@@ -204,6 +204,10 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     index = {lbl: i for i, lbl in enumerate(labels)}
     if len(index) != len(labels):
         raise ValidationError("duplicate node labels")
+    for lbl in labels:
+        if "-" in lbl:
+            # edge names join two labels with '-', so they must split back
+            raise ValidationError(f"node label {lbl!r} contains '-'")
 
     edges = []
     for i, entry in enumerate(doc["edges"]):

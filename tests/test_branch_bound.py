@@ -10,8 +10,6 @@ from scoutplan import milp
 from scoutplan.branch_bound import (
     BEST_BOUND,
     DEPTH_FIRST,
-    LOWEST_INDEX,
-    MOST_FRACTIONAL,
     MilpResult,
     SolveOptions,
     model_to_lp,
@@ -22,7 +20,7 @@ from scoutplan.formulation import build_model
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
 from scoutplan.scenario import load_scenario_file
-from scoutplan.simplex import solve_lp
+from scoutplan.simplex import LpSolver, solve_lp
 
 
 def knapsack_model():
@@ -104,6 +102,15 @@ class TestStatuses:
         assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
         assert np.all(np.isfinite(res.x))
 
+    def test_mapping_initial_incumbent_is_read_like_evaluate(self):
+        model, values, weights = knapsack_model()
+        seed = {vid: 0.0 for vid in range(len(model.variables))}
+        seed[0] = 1.0
+        res = solve_milp(model, initial_incumbent=seed)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
+        assert milp.evaluate(model, res.x).feasible
+
     def test_gap_must_be_positive(self):
         with pytest.raises(ValueError):
             SolveOptions(gap=0.0)
@@ -111,10 +118,9 @@ class TestStatuses:
 
 class TestDeterminism:
     @pytest.mark.parametrize("selection", [BEST_BOUND, DEPTH_FIRST])
-    @pytest.mark.parametrize("rule", [MOST_FRACTIONAL, LOWEST_INDEX])
-    def test_identical_runs(self, selection, rule):
+    def test_identical_runs(self, selection):
         model, _, _ = knapsack_model()
-        opts = SolveOptions(node_selection=selection, branch_rule=rule)
+        opts = SolveOptions(node_selection=selection)
         a = solve_milp(model, opts)
         b = solve_milp(model, opts)
         assert a.status == b.status == "optimal"
@@ -329,3 +335,20 @@ class TestAgainstHighs:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(highs_optimum(model), abs=1e-6)
         assert milp.evaluate(model, res.x).feasible
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_lp_solve_per_node(self, seed, monkeypatch):
+        calls = []
+        solve = LpSolver.solve
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpSolver, "solve", counted)
+        model, _ = build_model(random_scaling_scenario(seed, 5, 7, 5, 3))
+        res = solve_milp(model)
+        assert res.status == "optimal"
+        assert len(calls) == res.nodes

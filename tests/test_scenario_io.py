@@ -42,6 +42,16 @@ class TestLoader:
         assert truth.cost(trap, 1) == 30.0
         assert truth.cost(trap, 8) == 60.0
 
+    def test_hyphen_in_node_label_rejected(self):
+        # edge names join labels with '-': "n-1-b" would not split back
+        doc = minimal_document(
+            nodes=["n-1", "b"],
+            edges=[{"a": "n-1", "b": "b", "w": 10.0, "u_lower": 2.0,
+                    "u_upper": 5.0, "r": 0.5}],
+            starts=[{"node": "n-1", "count": 1}])
+        with pytest.raises(ValidationError, match="'n-1'"):
+            load_scenario(doc)
+
     def test_parse_error_includes_line(self):
         with pytest.raises(ParseError, match="line"):
             load_scenario("{\n  broken\n}")
