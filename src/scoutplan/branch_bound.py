@@ -7,13 +7,17 @@ remaining columns and expands every point back to the full model before it
 is evaluated or returned.
 
 Each node costs one LP solve, and a cold retry when its warm start stalls.
-Branching forbids the fractional value on both children via floor/ceil
-bound tightening.  Node selection is best-bound by default (depth-first
-available for memory-light dives); branching picks the most fractional
-integer variable with lowest-id tie-breaking.  Incumbents come from the
-caller's seed and from nodes whose relaxation is integral.  Every incumbent
-is re-checked against the model before acceptance, so a returned solution is
-always feasible and integral regardless of LP tolerances.
+A node keeps only its parent's optimal basis (basic columns and statuses),
+never its factorization, so every node LP factors its start basis once
+under either node selection.  Branching forbids the fractional value on
+both children via floor/ceil bound tightening.  Node selection is
+best-bound by default (depth-first available for memory-light dives);
+branching picks the most fractional integer variable, where
+fractionalities within the integrality tolerance of the best tie and the
+lowest id among them wins.  Incumbents come from the caller's seed and from
+nodes whose relaxation is integral.  Every incumbent is re-checked against
+the model before acceptance, so a returned solution is always feasible and
+integral regardless of LP tolerances.
 
 The node pool could be served to concurrent workers as long as incumbent and
 bound updates stay atomic; this implementation processes nodes in a single
@@ -237,13 +241,21 @@ class _Node:
         return (self.bound, self.seq)
 
 
-def _fractional(x, int_ids, tol):
-    out = []
-    for vid in int_ids:
-        frac = x[vid] - math.floor(x[vid])
-        if min(frac, 1.0 - frac) > tol:
-            out.append((vid, frac))
-    return out
+def _branching_variable(x, int_ids, tol):
+    """The most fractional integer column, or None when x is integral there.
+
+    Fractionalities within tol of the best count as equal and the lowest id
+    among them wins, so last-bit noise in the LP solution cannot decide.
+    """
+    ids = np.asarray(int_ids, dtype=int)
+    values = x[ids]
+    frac = values - np.floor(values)
+    score = np.minimum(frac, 1.0 - frac)
+    fractional = score > tol
+    if not fractional.any():
+        return None
+    best = score[fractional].max()
+    return int(ids[fractional & (score >= best - tol)].min())
 
 
 def solve_milp(model: milp.Model, options: SolveOptions | None = None,
@@ -275,12 +287,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         if options.node_selection == DEPTH_FIRST:
             stack.append(node)
         else:
-            node_nobinv = node
-            if node.basis is not None and options.node_selection == BEST_BOUND:
-                # pooled nodes drop the dense inverse; it is rebuilt on demand
-                node_nobinv = _Node(node.bound, node.seq, node.depth,
-                                    node.overrides, node.basis.without_inverse())
-            heapq.heappush(heap, (node_nobinv.sort_key(), node_nobinv))
+            heapq.heappush(heap, (node.sort_key(), node))
 
     def pop() -> _Node:
         if options.node_selection == DEPTH_FIRST:
@@ -359,28 +366,28 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         node_obj = res.objective
         if node_obj >= incumbent_obj - options.gap:
             continue
-        fractional = _fractional(res.x, int_ids, options.int_tol)
-
-        if not fractional:
+        branch_var = _branching_variable(res.x, int_ids, options.int_tol)
+        if branch_var is None:
             try_incumbent(res.x, node_obj)
             continue
 
-        branch_var, frac = max(fractional, key=lambda vf: min(vf[1], 1.0 - vf[1]))
         value = res.x[branch_var]
         floor_side = dict(node.overrides)
         floor_side[branch_var] = (lower[branch_var], math.floor(value))
         ceil_side = dict(node.overrides)
         ceil_side[branch_var] = (math.ceil(value), upper[branch_var])
 
-        prefer_ceil = frac >= 0.5
+        # children keep the basis but not its factors: each node LP factors
+        # its start basis once
+        start = Basis(res.basis.basic, res.basis.status)
+        prefer_ceil = value - math.floor(value) >= 0.5
         near = _Node(node_obj, seq + 1, node.depth + 1,
-                     ceil_side if prefer_ceil else floor_side, res.basis)
+                     ceil_side if prefer_ceil else floor_side, start)
         far = _Node(node_obj, seq, node.depth + 1,
-                    floor_side if prefer_ceil else ceil_side,
-                    res.basis.without_inverse() if res.basis else None)
+                    floor_side if prefer_ceil else ceil_side, start)
         seq += 2
         push(far)
-        push(near)       # depth-first pops this one next, inheriting the inverse
+        push(near)       # depth-first pops this one next
 
         if options.log_every and nodes % options.log_every == 0:
             bb = min(open_best_bound(), incumbent_obj)

@@ -11,11 +11,14 @@ Pricing is devex with reduced costs updated incrementally while the phase-2
 cost vector is stable; after a run of degenerate steps the rule falls back to
 Bland's to guarantee termination.  The ratio test is the two-pass (Harris)
 kind: tiny coefficients never block, and the second pass picks the largest
-admissible pivot within the tolerance-relaxed step.  The dense basis inverse
-is maintained by in-place rank-1 updates and refactorized on a fixed cadence;
-the cadence counter rides along through warm starts so drift cannot
-accumulate across a chain of child solves.  All tie-breaks take the lowest
-variable index, so identical inputs give identical bases.
+admissible pivot within the tolerance-relaxed step.  The basis is held as a
+sparse LU factorization (SuperLU, fixed COLAMD column order) of a start
+basis plus a product-form eta file, one eta per pivot (Forrest and Tomlin
+(1972), Math. Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).
+It is refactorized once the eta file holds more nonzeros than L and U, and
+a terminal verdict is always confirmed on a fresh factorization.  All
+tie-breaks take the lowest variable index, so identical inputs give
+identical bases.
 
 LpSolver keeps the assembled matrices so branch-and-bound can re-solve the
 same problem under per-node bounds without rebuilding anything.
@@ -23,11 +26,13 @@ same problem under per-node bounds without rebuilding anything.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dtrsv
+from scipy.sparse.linalg import splu
 
 EPS_PIVOT = 1e-9            # steps below this count as degenerate
 EPS_FEAS = 1e-6
@@ -37,7 +42,6 @@ _MIN_PIVOT = 1e-7           # coefficients below this never block or pivot
 NB_LOWER, NB_UPPER, BASIC, NB_FREE = 0, 1, 2, 3
 
 _BLAND_AFTER = 400          # consecutive degenerate pivots before Bland's rule
-_REFRESH_EVERY = 400        # pivot updates between basis-inverse refactorizations
 
 
 @dataclass(frozen=True)
@@ -64,17 +68,105 @@ class LpProblem:
             raise ValueError("variable with lower bound above upper bound")
 
 
+class _Factors:
+    """B⁻¹ as the sparse LU of a start basis B₀ times a product-form eta file.
+
+    Pivot j put a column into basis position r_j whose FTRAN against the
+    basis before it was w_j, so B = B₀E₁…E_k with E_j the identity but for
+    column r_j = w_j.  Row j of etas holds w_j - e_{r_j}, and tri is the
+    upper triangle tri[i, j] = etas[i, r_j] (i < j) with pivots w_j[r_j] on
+    its diagonal.  Applying the k etas one after another then collapses to
+    one triangular solve with tri and one product with etas.
+    """
+
+    def __init__(self, cols, basic):
+        """Factor the columns basic of cols; basic=None is the slack basis,
+        B₀ = I, which needs no factorization."""
+        self.m = m = cols.shape[0]
+        self.lu = None
+        self.basis_nnz, self.lu_nnz = m, 2 * m     # L's unit diagonal counts
+        if basic is not None:
+            # the basis columns as CSC, gathered straight from cols' arrays
+            starts = cols.indptr[basic]
+            counts = cols.indptr[basic + 1] - starts
+            indptr = np.zeros(m + 1, dtype=cols.indptr.dtype)
+            np.cumsum(counts, out=indptr[1:])
+            take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+            matrix = sp.csc_matrix((cols.data[take], cols.indices[take], indptr),
+                                   shape=(m, m))
+            # splu raises RuntimeError on an exactly singular basis
+            self.lu = splu(matrix, permc_spec="COLAMD")
+            self.basis_nnz = matrix.nnz
+            self.lu_nnz = None      # counted on first need: L and U cost a copy
+        self.k = 0
+        self.eta_nnz = 0
+        self.pos = np.zeros(0, dtype=np.intp)
+        self.etas = np.zeros((0, self.m))
+        self.tri = np.zeros((0, 0), order="F")
+
+    def copy(self) -> "_Factors":
+        """A copy whose eta file grows independently (the LU is shared)."""
+        other = copy.copy(self)
+        other.pos, other.etas, other.tri = (
+            self.pos.copy(), self.etas.copy(), self.tri.copy(order="F"))
+        return other
+
+    def ftran(self, b):
+        """B⁻¹ b."""
+        v = np.array(b, dtype=float) if self.lu is None else self.lu.solve(b)
+        k = self.k
+        if k:
+            alpha = dtrsv(self.tri[:k, :k], v[self.pos[:k]], trans=1)
+            v -= self.etas[:k].T @ alpha
+        return v
+
+    def btran(self, c):
+        """B⁻ᵀ c."""
+        u = np.array(c, dtype=float)
+        k = self.k
+        if k:
+            beta = dtrsv(self.tri[:k, :k], self.etas[:k] @ u)
+            u -= np.bincount(self.pos[:k], beta, self.m)
+        return u if self.lu is None else self.lu.solve(u, trans="T")
+
+    def update(self, r, w) -> bool:
+        """Record that FTRAN column w entered basis position r; True when
+        the eta file now outweighs L and U and the basis should be refactored."""
+        k = self.k
+        if k == len(self.pos):
+            size = max(2 * k, 16)
+            self.pos = np.concatenate([self.pos, np.zeros(size - k, dtype=np.intp)])
+            self.etas = np.vstack([self.etas, np.zeros((size - k, self.m))])
+            tri = np.zeros((size, size), order="F")
+            tri[:k, :k] = self.tri
+            self.tri = tri
+        self.etas[k] = w
+        self.etas[k, r] -= 1.0
+        self.tri[:k, k] = self.etas[:k, r]
+        self.tri[k, k] = w[r]
+        self.pos[k] = r
+        self.k = k + 1
+        self.eta_nnz += np.count_nonzero(w)
+        if self.eta_nnz <= self.basis_nnz:
+            return False            # L and U hold at least the basis's nonzeros
+        if self.lu_nnz is None:
+            self.lu_nnz = self.lu.L.nnz + self.lu.U.nnz
+        return self.eta_nnz > self.lu_nnz
+
+
 @dataclass
 class Basis:
-    """Warm-start handle: basic column ids, per-column status, optional inverse."""
+    """Warm-start handle: basic column ids, per-column status, optional factors.
+
+    binv holds the basis factorization of the solve that produced the handle
+    (or None); a warm start that carries it skips the initial factorization.
+    The name is kept from the dense inverse it replaced, because
+    perfbench/spans.py reads it to count warm starts that carry factors.
+    """
 
     basic: np.ndarray
     status: np.ndarray
-    binv: np.ndarray | None = None
-    age: int = 0
-
-    def without_inverse(self) -> "Basis":
-        return Basis(self.basic, self.status, None, 0)
+    binv: _Factors | None = None
 
 
 @dataclass
@@ -172,16 +264,14 @@ class _Run:
         ):
             basic = warm_start.basic.astype(int).copy()
             status = warm_start.status.astype(np.int8).copy()
-            if warm_start.binv is not None and warm_start.age < _REFRESH_EVERY:
+            if warm_start.binv is not None:
                 self.basis, self.status = basic, status
-                self.binv = warm_start.binv.copy()
-                self.age = warm_start.age
+                self.factors = warm_start.binv.copy()
             else:
                 try:
-                    self.binv = np.linalg.inv(self.cols[:, basic].toarray())
+                    self.factors = _Factors(self.cols, basic)
                     self.basis, self.status = basic, status
-                    self.age = 0
-                except np.linalg.LinAlgError:
+                except RuntimeError:
                     self.basis = None
         if self.basis is None:
             self._slack_restart(_initial_status(lower, upper))
@@ -203,8 +293,7 @@ class _Run:
         self.basis = np.arange(self.n, self.n + self.m)
         status[self.basis] = BASIC
         self.status = status
-        self.binv = np.eye(self.m)
-        self.age = 0
+        self.factors = _Factors(self.cols, None)
         self.weights = np.ones(self.total)
         self.reduced = None
 
@@ -212,14 +301,13 @@ class _Run:
         x = np.where(self.status == NB_UPPER, self.upper, self.lower)
         x[self.status == NB_FREE] = 0.0
         x[self.basis] = 0.0
-        x[self.basis] = self.binv @ (self.rhs - self.cols @ x)
+        x[self.basis] = self.factors.ftran(self.rhs - self.cols @ x)
         return x
 
     def _refactorize(self):
         try:
-            self.binv = np.linalg.inv(self.cols[:, self.basis].toarray())
-            self.age = 0
-        except np.linalg.LinAlgError:
+            self.factors = _Factors(self.cols, self.basis)
+        except RuntimeError:
             self._slack_restart()
         self.x = self._recompute_x()
         self.reduced = None
@@ -246,15 +334,13 @@ class _Run:
 
             if phase1 or self.reduced is None or self.reduced_phase != 2:
                 if phase1:
-                    # price only the infeasible rows: y = (+-1 rows of binv) summed
-                    rows_neg = np.flatnonzero(below)
-                    rows_pos = np.flatnonzero(above)
-                    y = self.binv[rows_pos].sum(axis=0) - self.binv[rows_neg].sum(axis=0)
+                    # price only the infeasible rows: unit costs of sign +-1
+                    y = self.factors.btran(above.astype(float) - below)
                     self.reduced = -(self.cols_t @ y)
                     self.reduced[self.basis] = 0.0
                     self.reduced_phase = 1
                 else:
-                    y = self.cost[self.basis] @ self.binv
+                    y = self.factors.btran(self.cost[self.basis])
                     self.reduced = self.cost - self.cols_t @ y
                     self.reduced_phase = 2
 
@@ -268,7 +354,7 @@ class _Run:
             candidates = eligible_up | eligible_dn
 
             if not candidates.any():
-                if self.age > 0 and not confirmed:
+                if self.factors.k > 0 and not confirmed:
                     # terminal decisions want a fresh factorization; if the
                     # refresh only resurfaces sub-tolerance noise we accept
                     # the verdict next time instead of livelocking
@@ -287,7 +373,9 @@ class _Run:
             sigma = 1.0 if eligible_up[entering] else -1.0
 
             rows_e, vals_e = self.column(entering)
-            w = self.binv[:, rows_e] @ vals_e
+            a_q = np.zeros(self.m)
+            a_q[rows_e] = vals_e
+            w = self.factors.ftran(a_q)
             move = -sigma * w
 
             # two-pass (Harris) ratio test
@@ -363,14 +451,12 @@ class _Run:
             self.status[entering] = BASIC
             self.basis[leave_pos] = entering
 
-            row = self.binv[leave_pos] / pivot
-            # binv -= outer(w, row), in place via the transposed (Fortran) view
-            self.binv = dger(-1.0, row, w, a=self.binv.T, overwrite_a=1).T
-            self.binv[leave_pos] = row
-            self.age += 1
-
             if self.reduced_phase == 2 and not phase1:
-                # price update along the pivot row keeps reduced costs current
+                # price update along the pivot row keeps reduced costs current;
+                # row r of the new inverse is that of the old over the pivot
+                unit = np.zeros(self.m)
+                unit[leave_pos] = 1.0 / pivot
+                row = self.factors.btran(unit)
                 alpha = self.cols_t @ row
                 d_q = self.reduced[entering]
                 self.reduced -= d_q * alpha
@@ -385,14 +471,12 @@ class _Run:
             else:
                 self.reduced = None
 
-            if self.age >= _REFRESH_EVERY:
+            if self.factors.update(leave_pos, w):
                 self._refactorize()
 
     def _result(self, status, iterations) -> LpResult:
-        if status in ("optimal", "infeasible"):
-            basis = Basis(self.basis, self.status, self.binv, self.age)
-        else:
-            basis = Basis(self.basis, self.status, None, 0)
+        factors = self.factors if status in ("optimal", "infeasible") else None
+        basis = Basis(self.basis, self.status, factors)
         if status != "optimal":
             return LpResult(status, None, None, iterations, basis)
         x = self._recompute_x()

@@ -12,6 +12,7 @@ from scoutplan.branch_bound import (
     DEPTH_FIRST,
     MilpResult,
     SolveOptions,
+    _branching_variable,
     model_to_lp,
     presolve,
     solve_milp,
@@ -127,6 +128,21 @@ class TestDeterminism:
         assert a.objective == b.objective
         assert a.nodes == b.nodes
         assert np.array_equal(a.x, b.x)
+
+
+class TestBranchingVariable:
+    def test_ties_within_int_tol_go_to_the_lowest_id(self):
+        x = np.array([0.5 + 2e-16, 0.5])
+        assert _branching_variable(x, [0, 1], 1e-6) == 0
+
+    def test_most_fractional_wins_beyond_the_tolerance(self):
+        x = np.array([0.3, 1.0, 2.5, 0.5 - 1e-4])
+        assert _branching_variable(x, [0, 1, 2, 3], 1e-6) == 2
+
+    def test_integral_point_gives_none(self):
+        x = np.array([0.0, 1.0 + 1e-9, 0.4])
+        assert _branching_variable(x, [0, 1], 1e-6) is None
+        assert _branching_variable(x, [], 1e-6) is None
 
 
 class TestBoundMonotonicity:
@@ -308,8 +324,9 @@ class TestPresolve:
             assert reduced.objective >= full.objective - 1e-7
 
 
-def highs_optimum(model):
-    """The optimum HiGHS certifies on the unreduced model_to_lp lowering."""
+def highs_optimum(model, relaxed=False):
+    """The optimum HiGHS certifies on the unreduced model_to_lp lowering, or
+    on its LP relaxation when relaxed is set."""
     from scipy.optimize import Bounds, LinearConstraint
     from scipy.optimize import milp as highs_milp
 
@@ -317,7 +334,8 @@ def highs_optimum(model):
     lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
     ub = np.where(problem.senses == "G", np.inf, problem.rhs)
     integrality = np.zeros(len(problem.objective))
-    integrality[int_ids] = 1
+    if not relaxed:
+        integrality[int_ids] = 1
     res = highs_milp(problem.objective,
                      constraints=LinearConstraint(problem.rows, lb, ub),
                      integrality=integrality,
@@ -335,6 +353,16 @@ class TestAgainstHighs:
         assert res.status == "optimal"
         assert res.objective == pytest.approx(highs_optimum(model), abs=1e-6)
         assert milp.evaluate(model, res.x).feasible
+
+    def test_bundled_root_bound_matches_highs(self, ablation_scenario):
+        # the inspected_scouted rows lift the root bound from 253.61
+        model, _ = build_model(ablation_scenario[0])
+        reference = highs_optimum(model, relaxed=True)
+        assert reference >= 273.46
+        presolved = presolve(*model_to_lp(model))
+        root = LpSolver(presolved.problem).solve()
+        assert root.status == "optimal"
+        assert root.objective == pytest.approx(reference, abs=1e-6)
 
 
 class TestSearchCost:

@@ -1,6 +1,12 @@
-"""solve_scenario: the time limit covers the whole solve, not just the search."""
+"""solve_scenario: the time limit covers the whole solve, not just the
+search, and a node-limited tree does not depend on the BLAS thread count."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +60,28 @@ def test_no_limit_stays_unlimited(monkeypatch):
     seen = record_search_options(monkeypatch)
     planner.solve_scenario(random_tiny_scenario(3), SolveOptions(node_limit=7))
     assert seen[0].time_limit is None and seen[0].node_limit == 7
+
+
+NODE_LIMITED_SOLVE = """
+import json, sys
+from scoutplan import SolveOptions, load_scenario_file
+from scoutplan.planner import solve_scenario
+scenario = load_scenario_file(sys.argv[1])[0]
+result = solve_scenario(scenario, SolveOptions(node_limit=25)).result
+print(json.dumps([result.status, result.objective, result.best_bound, result.nodes]))
+"""
+
+
+def test_node_limited_tree_ignores_the_blas_thread_count(ablation_path):
+    src = str(Path(planner.__file__).resolve().parent.parent)
+    answers = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", NODE_LIMITED_SOLVE,
+                              str(ablation_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        answers.append(json.loads(out.stdout))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == "feasible" and answers[0][3] == 25

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from scoutplan.simplex import Basis, LpProblem, LpSolver, solve_lp
+from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpProblem, LpSolver, _Factors, solve_lp
 
 
 def boxed_lp(objective, rows, senses, rhs, lower, upper, constant=0.0):
@@ -152,3 +152,105 @@ class TestWarmStart:
         res = solve_lp(prob, warm_start=junk)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
+
+    def test_singular_warm_basis_restarts_from_slacks(self):
+        # columns 0 and 1 are parallel, so the warm basis {0, 1} is singular
+        prob = boxed_lp([1.0, 1.0, 1.0], [[1.0, 2.0, 1.0], [2.0, 4.0, 1.0]],
+                        ["G", "G"], [2.0, 3.0], np.zeros(3), np.full(3, 5.0))
+        status = np.array([BASIC, BASIC, NB_LOWER, NB_LOWER, NB_LOWER], dtype=np.int8)
+        with pytest.raises(RuntimeError):
+            _Factors(LpSolver(prob).cols, np.array([0, 1]))
+        cold = solve_lp(prob)
+        warm = solve_lp(prob, warm_start=Basis(np.array([0, 1]), status))
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert np.array_equal(warm.basis.basic, cold.basis.basic)
+
+    def test_carried_factors_give_the_fresh_answer_and_stay_unchanged(self):
+        rng = np.random.default_rng(3)
+        m, n = 30, 60
+        prob = boxed_lp(rng.uniform(0.2, 2, n), rng.uniform(0.05, 1.0, size=(m, n)),
+                        ["G"] * m, rng.uniform(1, 5, m), np.zeros(n), np.full(n, 4.0))
+        base = solve_lp(prob)
+        assert base.basis.binv is not None
+        upper = prob.upper.copy()
+        upper[int(np.argmax(base.x))] = 0.5
+        solver = LpSolver(prob)
+        carried = solver.solve(warm_start=base.basis, upper=upper)
+        again = solver.solve(warm_start=base.basis, upper=upper)
+        fresh = solver.solve(warm_start=Basis(base.basis.basic, base.basis.status),
+                             upper=upper)
+        for res in (again, fresh):
+            assert res.status == carried.status == "optimal"
+            assert res.objective == pytest.approx(carried.objective, abs=1e-9)
+            assert np.array_equal(res.basis.basic, carried.basis.basic)
+            assert np.array_equal(res.basis.status, carried.basis.status)
+        assert again.iterations == carried.iterations
+
+
+class TestFactors:
+    """FTRAN and BTRAN against dense solves on the current basis."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.m, n = 25, 50
+        dense = rng.uniform(-1, 1, size=(self.m, n)) * (rng.random((self.m, n)) < 0.2)
+        self.cols = sp.hstack([sp.csc_matrix(dense), sp.eye(self.m, format="csc")],
+                              format="csc")
+        self.rng = rng
+
+    def pivot(self, factors, basis, j, r=None):
+        """Put column j into basis position r (default: its largest FTRAN entry)."""
+        w = factors.ftran(self.cols[:, [j]].toarray().ravel())
+        if r is None:
+            r = int(np.argmax(np.abs(w)))
+        assert abs(w[r]) > 1e-3
+        basis[r] = j
+        return factors.update(r, w)
+
+    def assert_solves_match(self, factors, basis):
+        dense = self.cols[:, basis].toarray()
+        b = self.rng.normal(size=self.m)
+        assert np.allclose(factors.ftran(b), np.linalg.solve(dense, b),
+                           rtol=0, atol=1e-9)
+        assert np.allclose(factors.btran(b), np.linalg.solve(dense.T, b),
+                           rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("start", ["slack", "lu"])
+    def test_solves_after_eta_updates_and_refactorization(self, start):
+        basis = np.arange(50, 50 + self.m)
+        factors = _Factors(self.cols, None if start == "slack" else basis)
+        for k, j in enumerate(self.rng.permutation(50)[:12], start=1):
+            self.pivot(factors, basis, j)
+            assert factors.k == k
+            self.assert_solves_match(factors, basis)
+        # the same position replaced twice in a row
+        r = int(factors.pos[0])
+        for _ in range(2):
+            j = next(j for j in np.setdiff1d(np.arange(50), basis)
+                     if abs(factors.ftran(self.cols[:, [j]].toarray().ravel())[r]) > 1e-3)
+            self.pivot(factors, basis, j, r)
+            self.assert_solves_match(factors, basis)
+        assert list(factors.pos[factors.k - 2:factors.k]) == [r, r]
+        refreshed = _Factors(self.cols, basis)
+        assert refreshed.k == 0
+        self.assert_solves_match(refreshed, basis)
+
+    def test_update_asks_for_refactorization_once_etas_outweigh_lu(self):
+        basis = np.arange(50, 50 + self.m)
+        factors = _Factors(self.cols, basis)
+        lu_nnz = factors.lu.L.nnz + factors.lu.U.nnz
+        for j in self.rng.permutation(50):
+            if self.pivot(factors, basis, j):
+                break
+            assert factors.eta_nnz <= lu_nnz
+        assert factors.eta_nnz > lu_nnz
+        self.assert_solves_match(factors, basis)
+
+    def test_copy_does_not_share_the_eta_file(self):
+        basis = np.arange(50, 50 + self.m)
+        factors = _Factors(self.cols, basis)
+        self.pivot(factors, basis, 0)
+        twin = factors.copy()
+        self.pivot(twin, basis.copy(), 1)
+        assert (factors.k, twin.k) == (1, 2)
