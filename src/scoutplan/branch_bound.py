@@ -6,12 +6,20 @@ fixpoint, then fixed columns leave the problem.  The search runs over the
 remaining columns and expands every point back to the full model before it
 is evaluated or returned.
 
+presolve_model keeps the result on the model, so the planner and the
+search share one presolve per model and integrality tolerance.
+
 Each node costs one LP solve, and a cold retry when its warm start stalls.
 A node keeps only its parent's optimal basis (basic columns and statuses),
-never its factorization, so every node LP factors its start basis once
-under either node selection.  Branching forbids the fractional value on
-both children via floor/ceil bound tightening.  Node selection is
-best-bound by default (depth-first available for memory-light dives);
+never its factorization, so every node LP factors its start basis once.
+That basis is dual feasible under the child's tightened bounds, so the node
+LP runs the dual simplex with the incumbent minus the gap as its cutoff: a
+node that cannot beat the incumbent is fathomed as soon as the dual
+objective shows it, before its LP is solved to optimality.  With a
+time_limit the deadline reaches into each LP solve, and a node whose LP it
+interrupts goes back to the pool with its parent's bound.  Branching
+forbids the fractional value on both children via floor/ceil bound
+tightening.  Nodes are selected best-bound first, ties in creation order;
 branching picks the most fractional integer variable, where
 fractionalities within the integrality tolerance of the best tie and the
 lowest id among them wins.  Incumbents come from the caller's seed and from
@@ -39,15 +47,10 @@ from .simplex import Basis, LpProblem, LpSolver
 
 log = logging.getLogger("scoutplan.branch_bound")
 
-BEST_BOUND = "best-bound"
-DEPTH_FIRST = "depth-first"
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     gap: float = 1e-6                   # absolute optimality gap
     int_tol: float = 1e-6
-    node_selection: str = BEST_BOUND
     node_limit: int | None = None
     time_limit: float | None = None     # seconds
     log_every: int = 0                  # emit a log line every N nodes (0 = off)
@@ -55,8 +58,6 @@ class SolveOptions:
     def __post_init__(self):
         if self.gap <= 0 or self.int_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.node_selection not in (BEST_BOUND, DEPTH_FIRST):
-            raise ValueError(f"unknown node selection {self.node_selection!r}")
 
 
 @dataclass
@@ -229,16 +230,26 @@ def presolve(problem: LpProblem, int_ids, int_tol: float = milp.INT_TOL) -> Pres
                      values)
 
 
+def presolve_model(model: milp.Model, int_tol: float = milp.INT_TOL) -> Presolved:
+    """presolve(*model_to_lp(model)), computed once per lowering and int_tol.
+
+    The result is kept on the model and shared by every caller, so treat it
+    as read-only; a model that is lowered again is presolved again.
+    """
+    arrays = milp.model_arrays(model)
+    kept = model._derived.get(("presolve", int_tol))
+    if kept is None or kept[0] is not arrays:
+        kept = (arrays, presolve(*model_to_lp(model), int_tol=int_tol))
+        model._derived["presolve", int_tol] = kept
+    return kept[1]
+
+
 @dataclass
 class _Node:
     bound: float
     seq: int
-    depth: int
     overrides: dict[int, tuple[float, float]]
     basis: Basis | None = field(default=None, repr=False)
-
-    def sort_key(self):
-        return (self.bound, self.seq)
 
 
 def _branching_variable(x, int_ids, tol):
@@ -269,8 +280,9 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     full space before it is evaluated or returned.
     """
     options = options or SolveOptions()
-    t_start = time.monotonic()
-    presolved = presolve(*model_to_lp(model), int_tol=options.int_tol)
+    deadline = (None if options.time_limit is None
+                else time.monotonic() + options.time_limit)
+    presolved = presolve_model(model, options.int_tol)
     if presolved.infeasible:
         return MilpResult("infeasible", None, None, math.inf, math.inf, 0)
     problem, int_ids = presolved.problem, presolved.int_ids
@@ -280,23 +292,13 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     incumbent_obj = math.inf
     nodes = 0
     heap: list[tuple[tuple[float, int], _Node]] = []
-    stack: list[_Node] = []
     seq = 0
 
     def push(node: _Node):
-        if options.node_selection == DEPTH_FIRST:
-            stack.append(node)
-        else:
-            heapq.heappush(heap, (node.sort_key(), node))
-
-    def pop() -> _Node:
-        if options.node_selection == DEPTH_FIRST:
-            return stack.pop()
-        return heapq.heappop(heap)[1]
+        heapq.heappush(heap, ((node.bound, node.seq), node))
 
     def open_best_bound() -> float:
-        bounds = [node.bound for node in stack] + [item[1].bound for item in heap]
-        return min(bounds) if bounds else math.inf
+        return heap[0][1].bound if heap else math.inf
 
     def try_incumbent(x, obj):
         """Offer a reduced-space point: its integers snapped, else as is.
@@ -315,27 +317,38 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
                     incumbent_x, incumbent_obj = full, check.objective
                 return
 
+    def solve_node(node, lower, upper):
+        """The node's LP: warm from its parent's basis, with the incumbent
+        as cutoff; a cold retry when the warm start stalls."""
+        cutoff = incumbent_obj - options.gap if incumbent_x is not None else None
+        res = solver.solve(warm_start=node.basis, lower=lower, upper=upper,
+                           cutoff=cutoff, deadline=deadline)
+        if res.status == "stalled":
+            res = solver.solve(lower=lower, upper=upper, deadline=deadline)
+            if res.status == "stalled":
+                raise RuntimeError("LP relaxation stalled; model is numerically hostile")
+        return res
+
     if initial_incumbent is not None:
         seed = milp.assignment_vector(model, initial_incumbent)
         seeded = milp.evaluate(model, seed, int_tol=options.int_tol)
         if seeded.feasible:
             incumbent_x, incumbent_obj = seed, seeded.objective
 
-    root = _Node(-math.inf, seq, 0, {}, root_basis)
-    push(root)
+    push(_Node(-math.inf, seq, {}, root_basis))
     seq += 1
     saw_unbounded = False
     limit_hit = None
 
-    while heap or stack:
+    while heap:
         if options.node_limit is not None and nodes >= options.node_limit:
             limit_hit = "nodes"
             break
-        if options.time_limit is not None and time.monotonic() - t_start > options.time_limit:
+        if deadline is not None and time.monotonic() >= deadline:
             limit_hit = "time"
             break
 
-        node = pop()
+        node = heapq.heappop(heap)[1]
         if node.bound >= incumbent_obj - options.gap:
             continue
         nodes += 1
@@ -347,21 +360,17 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             upper[vid] = min(upper[vid], hi)
         if np.any(lower > upper):
             continue
-        res = solver.solve(warm_start=node.basis, lower=lower, upper=upper)
-        if res.status == "infeasible":
+        res = solve_node(node, lower, upper)
+        if res.status == "interrupted":
+            push(node)              # back to the pool with its parent's bound
+            nodes -= 1
+            limit_hit = "time"
+            break
+        if res.status in ("infeasible", "cutoff"):
             continue
         if res.status == "unbounded":
             saw_unbounded = True
             break
-        if res.status == "stalled":
-            res = solver.solve(lower=lower, upper=upper)    # cold retry
-            if res.status == "stalled":
-                raise RuntimeError("LP relaxation stalled; model is numerically hostile")
-            if res.status == "infeasible":
-                continue
-            if res.status == "unbounded":
-                saw_unbounded = True
-                break
 
         node_obj = res.objective
         if node_obj >= incumbent_obj - options.gap:
@@ -378,16 +387,13 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         ceil_side[branch_var] = (math.ceil(value), upper[branch_var])
 
         # children keep the basis but not its factors: each node LP factors
-        # its start basis once
+        # its start basis once.  On equal bounds the child on the side the
+        # value leans to is taken last.
         start = Basis(res.basis.basic, res.basis.status)
         prefer_ceil = value - math.floor(value) >= 0.5
-        near = _Node(node_obj, seq + 1, node.depth + 1,
-                     ceil_side if prefer_ceil else floor_side, start)
-        far = _Node(node_obj, seq, node.depth + 1,
-                    floor_side if prefer_ceil else ceil_side, start)
+        push(_Node(node_obj, seq, floor_side if prefer_ceil else ceil_side, start))
+        push(_Node(node_obj, seq + 1, ceil_side if prefer_ceil else floor_side, start))
         seq += 2
-        push(far)
-        push(near)       # depth-first pops this one next
 
         if options.log_every and nodes % options.log_every == 0:
             bb = min(open_best_bound(), incumbent_obj)
@@ -407,6 +413,6 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     best_bound = min(open_bound, incumbent_obj)
     gap = max(incumbent_obj - best_bound, 0.0)
     status = "optimal" if not limit_hit and gap <= options.gap else "feasible"
-    if not (heap or stack):
+    if not heap:
         gap = min(gap, options.gap) if status == "optimal" else gap
     return MilpResult(status, incumbent_x, incumbent_obj, best_bound, gap, nodes)

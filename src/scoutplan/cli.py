@@ -31,7 +31,6 @@ def _solver_options(args) -> SolveOptions:
         gap=args.gap,
         node_limit=args.nodes_limit,
         time_limit=args.time_limit,
-        node_selection=args.node_selection,
     )
 
 
@@ -219,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes-limit", type=int, default=None)
         p.add_argument("--deterministic", action="store_true",
                        help="scrub wall times from outputs")
-        p.add_argument("--node-selection", default="best-bound",
-                       choices=["best-bound", "depth-first"])
         p.add_argument("--dot", action="store_true",
                        help="also write DOT renderings")
 

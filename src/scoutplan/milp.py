@@ -90,6 +90,8 @@ class Model:
     objective: LinExpr = field(default_factory=LinExpr)
     _names: set[str] = field(default_factory=set, repr=False)
     _arrays: tuple | None = field(default=None, repr=False, compare=False)
+    # results derived from the lowering: key -> (ModelArrays, result)
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add_var(self, kind: str, lower: float, upper: float, name: str) -> int:
         if name in self._names:

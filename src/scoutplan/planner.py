@@ -16,7 +16,13 @@ import time
 from dataclasses import dataclass, replace
 
 from . import milp
-from .branch_bound import MilpResult, SolveOptions, model_to_lp, presolve, solve_milp
+from .branch_bound import (  # noqa: F401  (model_to_lp: the benchmark wraps it here)
+    MilpResult,
+    SolveOptions,
+    model_to_lp,
+    presolve_model,
+    solve_milp,
+)
 from .formulation import (
     Excursion,
     Plan,
@@ -185,10 +191,12 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     options = options or SolveOptions()
     t_start = time.monotonic()
     model, plan_vars = build_model(scenario, inspection_decay=inspection_decay)
-    presolved = presolve(*model_to_lp(model), int_tol=options.int_tol)
+    presolved = presolve_model(model, options.int_tol)
     relaxation = None
     if not presolved.infeasible:
-        relaxation = LpSolver(presolved.problem).solve()
+        deadline = (None if options.time_limit is None
+                    else t_start + options.time_limit)
+        relaxation = LpSolver(presolved.problem).solve(deadline=deadline)
 
     incumbent = None
     incumbent_obj = None

@@ -1,17 +1,30 @@
-"""Bounded-variable primal simplex.
+"""Bounded-variable primal and dual simplex.
 
 Relaxation engine for the branch-and-bound solver.  Variables keep their
 boxes (no standard-form expansion): nonbasic variables rest at a bound and
-the ratio test allows bound flips.  Feasibility is reached with a composite
-phase 1 that prices currently-infeasible basic variables with unit costs, so
-no artificial columns are ever added and any basis (e.g. a parent node's) can
-be warm-started from directly.
+the ratio tests allow bound flips.
 
-Pricing is devex with reduced costs updated incrementally while the phase-2
-cost vector is stable; after a run of degenerate steps the rule falls back to
-Bland's to guarantee termination.  The ratio test is the two-pass (Harris)
+A warm start whose basis is dual feasible (a parent node's optimal basis
+after a branching bound change, or the planner's root handed to the search)
+is re-solved by the bounded dual simplex: the leaving row is the primal
+infeasibility with the largest square over its dual devex weight, and the
+ratio test is a Harris two-pass test with bound flipping, so boxed columns
+whose reduced cost changes sign jump to their other bound instead of
+entering (Maros (2003), EJOR 144; Koberstein (2005), PhD thesis,
+Paderborn).  Every dual iterate's objective bounds the LP optimum from
+below, so a solve given a cutoff stops as soon as it reaches it.  Once the
+basis is primal feasible the primal phase 2 checks optimality, which
+normally takes no pivot.
+
+Cold starts, and warm bases that are not dual feasible, go through the
+primal: a composite phase 1 prices currently-infeasible basic variables with
+unit costs, so no artificial columns are ever added.  Pricing is devex with
+reduced costs updated incrementally while the phase-2 cost vector is stable;
+after a run of degenerate steps either method falls back to Bland's rule to
+guarantee termination.  The primal ratio test is the two-pass (Harris)
 kind: tiny coefficients never block, and the second pass picks the largest
-admissible pivot within the tolerance-relaxed step.  The basis is held as a
+admissible pivot within the tolerance-relaxed step.  A deadline is checked
+at every pivot of either loop.  The basis is held as a
 sparse LU factorization (SuperLU, fixed COLAMD column order) of a start
 basis plus a product-form eta file, one eta per pivot (Forrest and Tomlin
 (1972), Math. Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).
@@ -27,6 +40,7 @@ same problem under per-node bounds without rebuilding anything.
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +185,12 @@ class Basis:
 
 @dataclass
 class LpResult:
-    status: str                 # optimal | infeasible | unbounded | stalled
+    """status is optimal, infeasible, unbounded, stalled (iteration limit),
+    cutoff (the objective provably reaches the cutoff; objective holds the
+    bound that showed it) or interrupted (the deadline passed).  iterations
+    counts dual and primal pivots alike."""
+
+    status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int
@@ -219,8 +238,15 @@ class LpSolver:
     def solve(self, warm_start: Basis | None = None,
               lower: np.ndarray | None = None,
               upper: np.ndarray | None = None,
-              max_iterations: int | None = None) -> LpResult:
-        """Solve under optionally overridden structural bounds."""
+              max_iterations: int | None = None,
+              cutoff: float | None = None,
+              deadline: float | None = None) -> LpResult:
+        """Solve under optionally overridden structural bounds.
+
+        A warm start that is dual feasible runs the dual simplex, which
+        returns status cutoff once its objective reaches cutoff.  deadline
+        is a time.monotonic() value; past it the solve returns interrupted.
+        """
         lo = self.problem.lower if lower is None else lower
         hi = self.problem.upper if upper is None else upper
         if max_iterations is None:
@@ -229,7 +255,7 @@ class LpSolver:
             return _solve_unconstrained(self.cost[: self.n], lo, hi, self.constant)
         return _Run(self, np.concatenate([lo, self.slack_lower]),
                     np.concatenate([hi, self.slack_upper]),
-                    warm_start).solve(max_iterations)
+                    warm_start).solve(max_iterations, cutoff, deadline)
 
 
 def _solve_unconstrained(cost, lower, upper, constant) -> LpResult:
@@ -240,6 +266,44 @@ def _solve_unconstrained(cost, lower, upper, constant) -> LpResult:
     obj = float(cost @ x) + constant
     return LpResult("optimal", x, obj, 0,
                     Basis(np.empty(0, dtype=int), _initial_status(lower, upper)))
+
+
+def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
+    """Harris ratio test with bound flipping over the blocking columns.
+
+    A dual step s moves each blocking column's reduced cost by s·slope_dir
+    towards zero, which it crosses at its breakpoint; span is the column's
+    range.  Passing a boxed column's breakpoint flips it to its other bound
+    and lowers the dual objective's slope, at first the row's infeasibility,
+    by |slope_dir|·span.  Breakpoints are taken one Harris group at a time
+    (those within the tolerance-relaxed smallest ratio): a group is passed
+    while the slope stays non-negative after it and breakpoints remain, and
+    the next group supplies the entering column, its largest |slope_dir|
+    (under Bland's rule the smallest ratio, exactly).  Ties go to the lowest
+    position.  Returns (entering position, flipped positions, step), or None
+    when the slope stays above EPS_FEAS past every breakpoint: the row cannot
+    be made feasible.
+    """
+    magnitude = np.abs(slope_dir)
+    ratio = np.maximum(reduced / -slope_dir, 0.0)
+    relaxed = ratio if bland else ratio + EPS_COST / magnitude
+    remaining = np.ones(len(ratio), dtype=bool)
+    passed = []
+    while remaining.any():
+        group = remaining & (ratio <= relaxed[remaining].min())
+        remaining &= ~group
+        members = np.flatnonzero(group)
+        after = slope - magnitude[members] @ span[members]
+        if after >= 0 and remaining.any():
+            passed.append(members)
+            slope = after
+            continue
+        if after > EPS_FEAS:
+            return None
+        pick = int(members[0] if bland else members[np.argmax(magnitude[members])])
+        flips = np.concatenate(passed) if passed else members[:0]
+        return pick, flips, float(ratio[pick])
+    return None
 
 
 class _Run:
@@ -273,6 +337,7 @@ class _Run:
                     self.basis, self.status = basic, status
                 except RuntimeError:
                     self.basis = None
+        self.warm = self.basis is not None
         if self.basis is None:
             self._slack_restart(_initial_status(lower, upper))
 
@@ -316,15 +381,157 @@ class _Run:
         lo, hi = self.ctx.col_ptr[j], self.ctx.col_ptr[j + 1]
         return self.ctx.col_idx[lo:hi], self.ctx.col_val[lo:hi]
 
-    def solve(self, max_iterations) -> LpResult:
+    def _price(self):
+        """Phase-2 reduced costs from a fresh BTRAN of the basic costs."""
+        y = self.factors.btran(self.cost[self.basis])
+        self.reduced = self.cost - self.cols_t @ y
+        self.reduced_phase = 2
+
+    def _sides(self):
+        """Nonbasic columns whose reduced cost dual feasibility keeps
+        non-negative (at lower, or free) and non-positive (at upper, or free)."""
+        free = self.status == NB_FREE
+        return (self.status == NB_LOWER) | free, (self.status == NB_UPPER) | free
+
+    def _dual_feasible(self, movable) -> bool:
+        """No nonbasic column that can move has a reduced cost of the wrong
+        sign beyond EPS_COST."""
+        d = self.reduced
+        lo_side, hi_side = self._sides()
+        return not np.any(movable & ((lo_side & (d < -EPS_COST))
+                                     | (hi_side & (d > EPS_COST))))
+
+    def solve(self, max_iterations, cutoff=None, deadline=None) -> LpResult:
         iterations = 0
+        if self.warm:
+            movable = (self.upper - self.lower) > EPS_PIVOT
+            self._price()
+            if self._dual_feasible(movable):
+                result, iterations = self._dual(movable, max_iterations, cutoff,
+                                                deadline)
+                if result is not None:
+                    return result
+        return self._primal(iterations, max_iterations, deadline)
+
+    def _dual(self, movable, max_iterations, cutoff, deadline):
+        """Bounded dual simplex from the dual feasible current basis.
+
+        Returns (result, iterations); result None hands the basis to the
+        primal, either primal feasible or (after a refactorization brought
+        back dual infeasibilities) as a general warm start.  A cutoff or
+        infeasible verdict is only given on a fresh factorization.
+        """
+        span = np.where(movable, self.upper - self.lower, 0.0)
+        weights = np.ones(self.m)       # dual devex reference weights, per row
+        unit = np.zeros(self.m)
+        iterations = 0
+        degenerate_run = 0
+        while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                return self._result("interrupted", iterations), iterations
+            if iterations > max_iterations:
+                return self._result("stalled", iterations), iterations
+            if self.reduced is None:            # refactorized since last pivot
+                self._price()
+                if not self._dual_feasible(movable):
+                    return None, iterations
+            fresh = self.factors.k == 0
+            if cutoff is not None:
+                objective = float(self.cost @ self.x) + self.ctx.constant
+                if objective >= cutoff:
+                    if fresh:
+                        return LpResult("cutoff", None, objective, iterations,
+                                        Basis(self.basis, self.status)), iterations
+                    self._refactorize()
+                    continue
+
+            xb = self.x[self.basis]
+            lb_b, ub_b = self.lower[self.basis], self.upper[self.basis]
+            excess = np.maximum(lb_b - xb, xb - ub_b)
+            infeasible_rows = excess > EPS_FEAS
+            if not infeasible_rows.any():
+                return None, iterations
+            if degenerate_run >= _BLAND_AFTER:
+                rows = np.flatnonzero(infeasible_rows)
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(np.where(infeasible_rows,
+                                           excess * excess / weights, -1.0)))
+            leaving = int(self.basis[r])
+            sigma = 1.0 if xb[r] < lb_b[r] else -1.0    # +1: leaves at its lower
+
+            # row r of B⁻¹A; moving the duals by step s changes d by s·sigma·alpha
+            unit[r] = 1.0
+            alpha = self.cols_t @ self.factors.btran(unit)
+            unit[r] = 0.0
+            slope_dir = sigma * alpha
+            lo_side, hi_side = self._sides()
+            blocking = movable & ((lo_side & (slope_dir < -_MIN_PIVOT))
+                                  | (hi_side & (slope_dir > _MIN_PIVOT)))
+            cand = np.flatnonzero(blocking)
+            found = _dual_ratio_test(slope_dir[cand], self.reduced[cand],
+                                     span[cand], excess[r],
+                                     degenerate_run >= _BLAND_AFTER)
+            if found is None:
+                if fresh:
+                    return self._result("infeasible", iterations), iterations
+                self._refactorize()
+                continue
+            pick, flips, step = found
+            entering = int(cand[pick])
+            flips = cand[flips]
+
+            rows_e, vals_e = self.column(entering)
+            a_q = np.zeros(self.m)
+            a_q[rows_e] = vals_e
+            w = self.factors.ftran(a_q)
+            pivot = w[r]
+            if abs(pivot - alpha[entering]) > 1e-7 * (1.0 + abs(pivot)) and not fresh:
+                self._refactorize()     # the row and the column disagree
+                continue
+
+            if flips.size:
+                to_upper = self.status[flips] == NB_LOWER
+                target = np.where(to_upper, self.upper[flips], self.lower[flips])
+                change = np.zeros(self.total)
+                change[flips] = target - self.x[flips]
+                self.x[flips] = target
+                self.status[flips] = np.where(to_upper, NB_UPPER, NB_LOWER)
+                self.x[self.basis] -= self.factors.ftran(self.cols @ change)
+
+            bound = lb_b[r] if sigma > 0 else ub_b[r]
+            theta = (self.x[leaving] - bound) / pivot
+            self.x[self.basis] -= theta * w
+            self.x[entering] += theta
+            self.x[leaving] = bound
+            self.status[leaving] = NB_LOWER if sigma > 0 else NB_UPPER
+            self.status[entering] = BASIC
+            self.basis[r] = entering
+
+            self.reduced += (sigma * step) * alpha
+            self.reduced[self.basis] = 0.0
+            self.reduced[leaving] = sigma * step
+
+            gamma = weights[r]
+            np.maximum(weights, np.square(w / pivot) * gamma, out=weights)
+            weights[r] = max(gamma / (pivot * pivot), 1.0)
+            if weights.max() > 1e8:
+                weights[:] = 1.0
+
+            iterations += 1
+            degenerate_run = degenerate_run + 1 if step <= EPS_COST else 0
+            if self.factors.update(r, w):
+                self._refactorize()
+
+    def _primal(self, iterations, max_iterations, deadline) -> LpResult:
         degenerate_run = 0
         confirmed = False       # a terminal check already refactorized once and
                                 # only noise-level steps happened since
         while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                return self._result("interrupted", iterations)
             if iterations > max_iterations:
                 return self._result("stalled", iterations)
-            iterations += 1
 
             xb = self.x[self.basis]
             lb_b, ub_b = self.lower[self.basis], self.upper[self.basis]
@@ -413,6 +620,7 @@ class _Run:
                     return self._result("stalled", iterations)
                 return LpResult("unbounded", None, None, iterations, None)
 
+            iterations += 1
             if own_range <= room:
                 step = own_range
                 degenerate_run = degenerate_run + 1 if step <= EPS_PIVOT else 0

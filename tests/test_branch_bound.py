@@ -1,20 +1,20 @@
 import itertools
 import logging
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scoutplan import milp
+from scoutplan import branch_bound, milp, planner
 from scoutplan.branch_bound import (
-    BEST_BOUND,
-    DEPTH_FIRST,
     MilpResult,
     SolveOptions,
     _branching_variable,
     model_to_lp,
     presolve,
+    presolve_model,
     solve_milp,
 )
 from scoutplan.formulation import build_model
@@ -116,14 +116,34 @@ class TestStatuses:
         with pytest.raises(ValueError):
             SolveOptions(gap=0.0)
 
+    def test_interrupted_node_returns_to_the_pool(self, monkeypatch):
+        model, _ = build_model(random_scaling_scenario(0, 5, 7, 5, 3))
+        root = LpSolver(presolve_model(model).problem).solve()
+        optimum = solve_milp(model).objective
+        calls = []
+        solve = LpSolver.solve
+
+        def third_call_runs_out_of_time(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                kwargs["deadline"] = time.monotonic() - 1.0
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpSolver, "solve", third_call_runs_out_of_time)
+        res = solve_milp(model, SolveOptions(time_limit=1e6))
+        assert len(calls) == 3
+        assert res.nodes == 2
+        assert res.status in ("feasible", "unknown")
+        # the pool keeps the interrupted child, whose bound is the root's
+        assert res.best_bound == pytest.approx(root.objective, abs=1e-9)
+        assert res.best_bound <= optimum
+
 
 class TestDeterminism:
-    @pytest.mark.parametrize("selection", [BEST_BOUND, DEPTH_FIRST])
-    def test_identical_runs(self, selection):
+    def test_identical_runs(self):
         model, _, _ = knapsack_model()
-        opts = SolveOptions(node_selection=selection)
-        a = solve_milp(model, opts)
-        b = solve_milp(model, opts)
+        a = solve_milp(model)
+        b = solve_milp(model)
         assert a.status == b.status == "optimal"
         assert a.objective == b.objective
         assert a.nodes == b.nodes
@@ -268,6 +288,28 @@ class TestPresolve:
             vid = plan_vars.carrier_at[key]
             assert vid not in kept, key
             assert presolved.values[vid] == 0.0, key
+
+    def test_planner_and_search_share_one_presolve(self, monkeypatch):
+        calls = []
+        run = branch_bound.presolve
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("int_tol"))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(branch_bound, "presolve", counted)
+        outcome = planner.solve_scenario(random_tiny_scenario(3))
+        assert outcome.result.status == "optimal"
+        assert len(calls) == 1
+        model = outcome.model
+        assert presolve_model(model) is presolve_model(model)
+        assert len(calls) == 1
+        presolve_model(model, int_tol=1e-4)
+        assert len(calls) == 2
+        model.add_var(BINARY, 0, 1, "extra")      # a new lowering is presolved anew
+        assert presolve_model(model).problem.rows.shape[1] == (
+            presolve(*model_to_lp(model)).problem.rows.shape[1])
+        assert len(calls) == 3
 
     def test_expand_puts_fixed_values_back(self):
         model = fixed_and_free_model()

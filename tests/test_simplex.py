@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from scoutplan import simplex
 from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpProblem, LpSolver, _Factors, solve_lp
 
 
@@ -254,3 +257,145 @@ class TestFactors:
         twin = factors.copy()
         self.pivot(twin, basis.copy(), 1)
         assert (factors.k, twin.k) == (1, 2)
+
+
+def random_boxed_lp(seed, m=20, n=40):
+    """A feasible bounded LP with mixed L/G/E rows and boxed columns, most of
+    them binary-like, built around a known interior point."""
+    rng = np.random.default_rng(seed)
+    A = np.round(rng.uniform(-2, 3, size=(m, n)) * (rng.random((m, n)) < 0.4), 2)
+    lower = np.zeros(n)
+    upper = np.where(rng.random(n) < 0.7, 1.0, np.round(rng.uniform(2, 6, n), 1))
+    point = lower + rng.uniform(0.2, 0.8, n) * (upper - lower)
+    senses = np.array(["L", "G", "E"])[rng.integers(0, 3, m)]
+    activity = A @ point
+    rhs = np.where(senses == "L", activity + rng.uniform(0, 1, m),
+                   np.where(senses == "G", activity - rng.uniform(0, 1, m), activity))
+    return boxed_lp(np.round(rng.uniform(-3, 3, n), 2), A, senses, rhs, lower, upper)
+
+
+def highs(prob, lower, upper):
+    """(status, objective) of scipy's HiGHS on prob under the given bounds."""
+    A = prob.rows.toarray()
+    ub_rows = [(A[i], prob.rhs[i]) if s == "L" else (-A[i], -prob.rhs[i])
+               for i, s in enumerate(prob.senses) if s != "E"]
+    eq = prob.senses == "E"
+    ref = linprog(prob.objective,
+                  A_ub=np.array([r for r, _ in ub_rows]) if ub_rows else None,
+                  b_ub=np.array([b for _, b in ub_rows]) if ub_rows else None,
+                  A_eq=A[eq] if eq.any() else None,
+                  b_eq=prob.rhs[eq] if eq.any() else None,
+                  bounds=list(zip(lower, upper)), method="highs")
+    status = {0: "optimal", 2: "infeasible"}[ref.status]
+    return status, (ref.fun + prob.constant if ref.status == 0 else None)
+
+
+def branched(prob, base, rng):
+    """Bounds of a child: one fractional basic binary-like column rounded
+    down or up."""
+    lower, upper = prob.lower.copy(), prob.upper.copy()
+    frac = [j for j in base.basis.basic if j < len(lower) and upper[j] == 1.0
+            and abs(base.x[j] - round(base.x[j])) > 1e-3]
+    j = int(frac[int(rng.integers(len(frac)))])
+    if rng.random() < 0.5:
+        upper[j] = np.floor(base.x[j])
+    else:
+        lower[j] = np.ceil(base.x[j])
+    return lower, upper
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """Records the pivots of every run of the dual simplex."""
+    calls = []
+    dual = simplex._Run._dual
+
+    def recorded(run, *args, **kwargs):
+        result, iterations = dual(run, *args, **kwargs)
+        calls.append(iterations)
+        return result, iterations
+
+    monkeypatch.setattr(simplex._Run, "_dual", recorded)
+    return calls
+
+
+class TestDualReSolve:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_child_matches_cold_primal_and_highs(self, seed, dual_calls):
+        prob = random_boxed_lp(seed)
+        base = solve_lp(prob)
+        assert base.status == "optimal"
+        lower, upper = branched(prob, base, np.random.default_rng(seed))
+        solver = LpSolver(prob)
+        cold = solver.solve(lower=lower, upper=upper)
+        assert not dual_calls
+        warm = solver.solve(warm_start=Basis(base.basis.basic, base.basis.status),
+                            lower=lower, upper=upper)
+        status, objective = highs(prob, lower, upper)
+        assert warm.status == cold.status == status
+        # the primal phase 2 after the dual confirms optimality without a pivot
+        assert warm.iterations == dual_calls[-1]
+        if status == "optimal":
+            assert warm.objective == pytest.approx(objective, abs=1e-6)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            assert np.all(warm.x >= lower - 1e-6) and np.all(warm.x <= upper + 1e-6)
+
+    def test_warm_resolve_that_moves_counts_its_pivots(self, dual_calls):
+        prob = random_boxed_lp(3)
+        base = solve_lp(prob)
+        lower, upper = branched(prob, base, np.random.default_rng(0))
+        warm = LpSolver(prob).solve(
+            warm_start=Basis(base.basis.basic, base.basis.status),
+            lower=lower, upper=upper)
+        assert dual_calls
+        assert warm.status == "optimal"
+        assert not np.allclose(warm.x, base.x)
+        assert warm.iterations > 0
+
+    def test_infeasible_child_is_reported_infeasible(self, dual_calls):
+        # x0 + x1 >= 1.5 over two binaries: fixing x0 at 0 leaves no point
+        prob = boxed_lp([1.0, 2.0, 0.5], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+                        ["G", "L"], [1.5, 1.8], np.zeros(3), np.ones(3))
+        base = solve_lp(prob)
+        assert base.status == "optimal"
+        upper = prob.upper.copy()
+        upper[0] = 0.0
+        warm = LpSolver(prob).solve(warm_start=base.basis, upper=upper)
+        assert dual_calls
+        assert warm.status == "infeasible" == highs(prob, prob.lower, upper)[0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cutoff_only_at_or_below_the_optimum(self, seed, dual_calls):
+        prob = random_boxed_lp(seed)
+        base = solve_lp(prob)
+        lower, upper = branched(prob, base, np.random.default_rng(seed))
+        status, objective = highs(prob, lower, upper)
+        solver = LpSolver(prob)
+        start = Basis(base.basis.basic, base.basis.status)
+        reference = base.objective if objective is None else objective
+        for cutoff in (reference - 1.0, reference - 1e-4, reference + 1e-4,
+                       reference + 1.0):
+            res = solver.solve(warm_start=start, lower=lower, upper=upper,
+                               cutoff=cutoff)
+            if res.status == "cutoff":
+                assert status == "infeasible" or objective >= cutoff - 1e-9
+                assert res.objective >= cutoff
+            else:
+                assert res.status == status
+        if status == "optimal":
+            res = solver.solve(warm_start=start, lower=lower, upper=upper,
+                               cutoff=objective - 1.0)
+            assert res.status == "cutoff"
+        assert dual_calls
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_past_deadline_gives_no_verdict(self, warm):
+        prob = random_boxed_lp(5)
+        base = solve_lp(prob)
+        lower, upper = branched(prob, base, np.random.default_rng(5))
+        res = LpSolver(prob).solve(warm_start=base.basis if warm else None,
+                                   lower=lower, upper=upper,
+                                   deadline=time.monotonic() - 1.0)
+        assert res.status == "interrupted"
+        assert res.x is None and res.objective is None
+        assert res.iterations == 0
