@@ -9,15 +9,15 @@ scout_steps)`.  The embedded solver runs the whole planner
 `model_to_lp` lowering.  Seconds include building the model for both.  One
 CSV row per solver and instance: status, objective, bound, gap, nodes and
 seconds, and, on the embedded solver's row, whether the two optima agree
-(to 1e-6) when both solvers prove one ("" when either does not).
+(to 1e-6) when both solvers prove one ("" when either does not).  The
+rows go to the named file, not to stdout, where HiGHS's own code may print.
 
-    python3 scripts/scaling_runs.py --cap 60 > ladder.csv
+    python3 scripts/scaling_runs.py --cap 60 ladder.csv
 """
 
 import argparse
 import csv
 import math
-import sys
 import time
 import warnings
 
@@ -78,32 +78,34 @@ def fmt(value):
     return str(value)
 
 
-def run(cap: float, seeds, sizes):
-    writer = csv.DictWriter(sys.stdout, FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for size in sizes:
-        for seed in seeds:
-            scenario = random_scaling_scenario(seed, *size)
-            mine, theirs = ours(scenario, cap), highs(scenario, cap)
-            agree = ""
-            if mine["status"] == theirs["status"] == "optimal":
-                agree = abs(mine["objective"] - theirs["objective"]) <= 1e-6
-            for solver, row in (("scoutplan", mine), ("highs", theirs)):
-                row = {"size": "x".join(map(str, size)), "seed": seed,
-                       "solver": solver,
-                       "optima_agree": agree if solver == "scoutplan" else "",
-                       **row}
-                writer.writerow({k: fmt(v) for k, v in row.items()})
-            sys.stdout.flush()
+def run(path: str, cap: float, seeds, sizes):
+    with open(path, "w", newline="") as out:
+        writer = csv.DictWriter(out, FIELDS, lineterminator="\n")
+        writer.writeheader()
+        for size in sizes:
+            for seed in seeds:
+                scenario = random_scaling_scenario(seed, *size)
+                mine, theirs = ours(scenario, cap), highs(scenario, cap)
+                agree = ""
+                if mine["status"] == theirs["status"] == "optimal":
+                    agree = abs(mine["objective"] - theirs["objective"]) <= 1e-6
+                for solver, row in (("scoutplan", mine), ("highs", theirs)):
+                    row = {"size": "x".join(map(str, size)), "seed": seed,
+                           "solver": solver,
+                           "optima_agree": agree if solver == "scoutplan" else "",
+                           **row}
+                    writer.writerow({k: fmt(v) for k, v in row.items()})
+                out.flush()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("csv", help="file the CSV rows are written to")
     parser.add_argument("--cap", type=float, default=60.0,
                         help="wall-clock seconds per solve (default 60)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--rungs", type=int, default=len(LADDER),
                         help="how many rungs of the ladder to run, smallest first")
     args = parser.parse_args()
-    run(args.cap, args.seeds, LADDER[: args.rungs])
+    run(args.csv, args.cap, args.seeds, LADDER[: args.rungs])

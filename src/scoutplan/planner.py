@@ -33,7 +33,6 @@ from .formulation import (
     plan_to_assignment,
 )
 from .scenario import Scenario
-from .simplex import LpSolver
 
 
 @dataclass
@@ -196,7 +195,7 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     if not presolved.infeasible:
         deadline = (None if options.time_limit is None
                     else t_start + options.time_limit)
-        relaxation = LpSolver(presolved.problem).solve(deadline=deadline)
+        relaxation = presolved.solver.solve(deadline=deadline)
 
     incumbent = None
     incumbent_obj = None

@@ -213,15 +213,12 @@ class LpSolver:
         self.m, self.n = m, n
         self.total = n + m
 
-        self.slack_lower = np.zeros(m)
-        self.slack_upper = np.zeros(m)
-        for i, sense in enumerate(problem.senses):
-            if sense == "L":
-                self.slack_upper[i] = np.inf
-            elif sense == "G":
-                self.slack_lower[i] = -np.inf
-            elif sense != "E":
-                raise ValueError(f"unknown sense {sense!r}")
+        senses = np.asarray(problem.senses)
+        unknown = ~np.isin(senses, ("L", "E", "G"))
+        if unknown.any():
+            raise ValueError(f"unknown sense {str(senses[unknown][0])!r}")
+        self.slack_lower = np.where(senses == "G", -np.inf, 0.0)
+        self.slack_upper = np.where(senses == "L", np.inf, 0.0)
 
         self.cost = np.concatenate([
             np.asarray(problem.objective, dtype=float), np.zeros(m)])
@@ -246,9 +243,12 @@ class LpSolver:
         A warm start that is dual feasible runs the dual simplex, which
         returns status cutoff once its objective reaches cutoff.  deadline
         is a time.monotonic() value; past it the solve returns interrupted.
+        Bounds with a lower above an upper give infeasible without a pivot.
         """
         lo = self.problem.lower if lower is None else lower
         hi = self.problem.upper if upper is None else upper
+        if np.any(lo > hi):
+            return LpResult("infeasible", None, None, 0, None)
         if max_iterations is None:
             max_iterations = 50 * (self.m + self.n) + 10_000
         if self.m == 0:

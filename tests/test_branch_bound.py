@@ -273,11 +273,75 @@ def fixed_and_free_model():
     return m
 
 
+def doubleton_model():
+    """x - y = 0 over integers aggregates and 2u - 3v = 1 does not.  Once
+    shut fixes f, c - d + f = 0 moves the continuous c's bounds onto d, and
+    p + q - f = 4 moves p's onto q through a negative ratio."""
+    m = Model(name="doubletons")
+    x = m.add_var(INTEGER, 0, 5, "x")
+    y = m.add_var(INTEGER, 0, 5, "y")
+    u = m.add_var(INTEGER, 0, 5, "u")
+    v = m.add_var(INTEGER, 0, 5, "v")
+    c = m.add_var(CONTINUOUS, 1, 3, "c")
+    d = m.add_var(CONTINUOUS, 0, 10, "d")
+    f = m.add_var(CONTINUOUS, 0, 1, "f")
+    p = m.add_var(INTEGER, 0, 3, "p")
+    q = m.add_var(INTEGER, 0, 10, "q")
+    e = m.add_var(INTEGER, 0, 10, "e")
+    m.objective = LinExpr({x: -2.0, y: -1.0, u: -1.0, v: -1.0, d: -1.0,
+                           q: -2.0, e: -1.0})
+    m.add_constraint(LinExpr({x: 1.0, y: -1.0}), Sense.EQ, 0.0, "same")
+    m.add_constraint(LinExpr({u: 2.0, v: -3.0}), Sense.EQ, 1.0, "odd")
+    m.add_constraint(LinExpr({c: 1.0, d: -1.0, f: 1.0}), Sense.EQ, 0.0, "link")
+    m.add_constraint(LinExpr({f: 1.0}), Sense.LE, 0.0, "shut")
+    m.add_constraint(LinExpr({p: 1.0, q: 1.0, f: -1.0}), Sense.EQ, 4.0, "sum")
+    m.add_constraint(LinExpr({vid: 1.0 for vid in (x, y, v, d, q, e)}),
+                     Sense.LE, 12.0, "cap")
+    return m
+
+
+def highs_solve(problem, int_ids=()):
+    """(optimum, x) HiGHS certifies for the LpProblem, integral on int_ids."""
+    from scipy.optimize import Bounds, LinearConstraint
+    from scipy.optimize import milp as highs_milp
+
+    if not len(problem.objective):
+        return problem.constant, np.zeros(0)
+    lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
+    ub = np.where(problem.senses == "G", np.inf, problem.rhs)
+    integrality = np.zeros(len(problem.objective))
+    integrality[list(int_ids)] = 1
+    res = highs_milp(problem.objective,
+                     constraints=LinearConstraint(problem.rows, lb, ub),
+                     integrality=integrality,
+                     bounds=Bounds(problem.lower, problem.upper),
+                     options={"mip_rel_gap": 0.0})
+    assert res.status == 0, res.message
+    return float(res.fun) + problem.constant, res.x
+
+
+def violation(problem, x):
+    """Largest bound or row violation of x in the LpProblem."""
+    activity = problem.rows @ x
+    rows = np.where(problem.senses == "L", activity - problem.rhs,
+                    np.where(problem.senses == "G", problem.rhs - activity,
+                             np.abs(activity - problem.rhs)))
+    return max(np.max(problem.lower - x, initial=0.0),
+               np.max(x - problem.upper, initial=0.0), np.max(rows, initial=0.0))
+
+
+CORPUS = [*(("tiny", seed) for seed in range(20)),
+          *(("scaling", seed) for seed in range(3)), ("bundled", 0)]
+
+
+def corpus_model(kind, seed):
+    if kind == "doubletons":
+        return doubleton_model()
+    return build_model(corpus_scenario(kind, seed))[0]
+
+
 class TestPresolve:
-    @pytest.mark.parametrize("kind, seed", [
-        *(("tiny", seed) for seed in range(20)),
-        *(("scaling", seed) for seed in range(3)), ("bundled", 0),
-    ])
+    @pytest.mark.parametrize("kind, seed", CORPUS)
     def test_fixes_every_forward_unreachable_carrier_position(self, kind, seed):
         scenario = corpus_scenario(kind, seed)
         model, plan_vars = build_model(scenario)
@@ -289,6 +353,65 @@ class TestPresolve:
             assert vid not in kept, key
             assert presolved.values[vid] == 0.0, key
 
+    @pytest.mark.parametrize("kind, seed", [*CORPUS, ("doubletons", 0)])
+    def test_reduced_relaxation_keeps_the_full_optimum(self, kind, seed,
+                                                       monkeypatch):
+        model = corpus_model(kind, seed)
+        problem, int_ids = model_to_lp(model)
+        presolved = presolve(problem, int_ids)
+        assert not presolved.infeasible
+        reduced = LpSolver(presolved.problem).solve()
+        assert reduced.status == "optimal"
+        # presolve rounds integer bounds, which lifts the relaxation by
+        # itself; the reference is the same presolve without aggregation
+        monkeypatch.setattr(branch_bound, "_pick_doubletons",
+                            lambda *args: (np.zeros(0, dtype=int),) * 5)
+        unaggregated = presolve(problem, int_ids)
+        assert reduced.objective == pytest.approx(
+            highs_solve(unaggregated.problem)[0], abs=1e-6)
+        # the expanded optimum is a point of the full relaxation, same value
+        full = presolved.expand(reduced.x)
+        assert violation(problem, full) <= 1e-6
+        assert problem.objective @ full + problem.constant == pytest.approx(
+            reduced.objective, abs=1e-6)
+
+    @pytest.mark.parametrize("kind, seed", [*CORPUS[:-1], ("doubletons", 0)])
+    def test_reduced_integer_optimum_expands_to_a_full_one(self, kind, seed):
+        model = corpus_model(kind, seed)
+        presolved = presolve_model(model)
+        assert not presolved.infeasible
+        optimum, x = highs_solve(presolved.problem, presolved.int_ids)
+        x[presolved.int_ids] = np.round(x[presolved.int_ids])
+        check = milp.evaluate(model, presolved.expand(x))
+        assert check.feasible
+        assert check.objective == pytest.approx(optimum, abs=1e-6)
+        assert check.objective == pytest.approx(highs_optimum(model), abs=1e-6)
+
+    def test_doubleton_equations(self):
+        model = doubleton_model()
+        ids = {var.name: var.id for var in model.variables}
+        presolved = presolve(*model_to_lp(model))
+        assert presolved.columns.tolist() == [ids[k] for k in "yuvdqe"]
+        assert presolved.int_ids == [0, 1, 2, 4, 5]
+        # 2u - 3v = 1 is kept as written, and x + y in cap becomes 2y
+        assert presolved.problem.rows.toarray().tolist() == [
+            [0, 2, -3, 0, 0, 0], [2, 0, 1, 1, 1, 1]]
+        assert presolved.problem.rhs.tolist() == [1, 12]
+        # x = y, c = d and p = 4 - q
+        aggregated = presolved.aggregated.toarray()
+        assert aggregated[ids["x"]].tolist() == [1, 0, 0, 0, 0, 0]
+        assert aggregated[ids["c"]].tolist() == [0, 0, 0, 1, 0, 0]
+        assert aggregated[ids["p"]].tolist() == [0, 0, 0, 0, -1, 0]
+        assert presolved.values[[ids["x"], ids["c"], ids["p"]]].tolist() == [0, 0, 4]
+        bounds = np.column_stack([presolved.problem.lower, presolved.problem.upper])
+        assert bounds[3].tolist() == [1, 3]         # d from c
+        assert bounds[4].tolist() == [1, 4]         # q from p
+        res = solve_milp(model)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(highs_optimum(model), abs=1e-9)
+        x = dict(zip(ids, res.x))
+        assert x["x"] == x["y"] and x["c"] == x["d"] and x["p"] == 4 - x["q"]
+
     def test_planner_and_search_share_one_presolve(self, monkeypatch):
         calls = []
         run = branch_bound.presolve
@@ -297,13 +420,24 @@ class TestPresolve:
             calls.append(kwargs.get("int_tol"))
             return run(*args, **kwargs)
 
+        builds = []
+        build = LpSolver.__init__
+
+        def counted_build(self, problem):
+            builds.append(problem)
+            build(self, problem)
+
         monkeypatch.setattr(branch_bound, "presolve", counted)
+        monkeypatch.setattr(LpSolver, "__init__", counted_build)
         outcome = planner.solve_scenario(random_tiny_scenario(3))
         assert outcome.result.status == "optimal"
         assert len(calls) == 1
         model = outcome.model
         assert presolve_model(model) is presolve_model(model)
         assert len(calls) == 1
+        # the planner's relaxation and the search share one LP solver too
+        assert len(builds) == 1 and builds[0] is presolve_model(model).problem
+        assert presolve_model(model).solver is presolve_model(model).solver
         presolve_model(model, int_tol=1e-4)
         assert len(calls) == 2
         model.add_var(BINARY, 0, 1, "extra")      # a new lowering is presolved anew
@@ -369,22 +503,8 @@ class TestPresolve:
 def highs_optimum(model, relaxed=False):
     """The optimum HiGHS certifies on the unreduced model_to_lp lowering, or
     on its LP relaxation when relaxed is set."""
-    from scipy.optimize import Bounds, LinearConstraint
-    from scipy.optimize import milp as highs_milp
-
     problem, int_ids = model_to_lp(model)
-    lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
-    ub = np.where(problem.senses == "G", np.inf, problem.rhs)
-    integrality = np.zeros(len(problem.objective))
-    if not relaxed:
-        integrality[int_ids] = 1
-    res = highs_milp(problem.objective,
-                     constraints=LinearConstraint(problem.rows, lb, ub),
-                     integrality=integrality,
-                     bounds=Bounds(problem.lower, problem.upper),
-                     options={"mip_rel_gap": 0.0})
-    assert res.status == 0, res.message
-    return float(res.fun) + problem.constant
+    return highs_solve(problem, () if relaxed else int_ids)[0]
 
 
 class TestAgainstHighs:

@@ -389,6 +389,20 @@ class TestDualReSolve:
         assert dual_calls
 
     @pytest.mark.parametrize("warm", [False, True])
+    def test_crossed_child_bounds_are_infeasible(self, warm):
+        # a child's ceil(x_j) above column j's fractional upper bound
+        prob = random_boxed_lp(6)
+        base = solve_lp(prob)
+        j = next(j for j in base.basis.basic if j < len(prob.upper)
+                 and np.ceil(base.x[j]) > prob.upper[j])
+        lower = prob.lower.copy()
+        lower[j] = np.ceil(base.x[j])
+        res = LpSolver(prob).solve(warm_start=base.basis if warm else None,
+                                   lower=lower)
+        assert res.status == "infeasible" == highs(prob, lower, prob.upper)[0]
+        assert res.x is None and res.iterations == 0
+
+    @pytest.mark.parametrize("warm", [False, True])
     def test_past_deadline_gives_no_verdict(self, warm):
         prob = random_boxed_lp(5)
         base = solve_lp(prob)
