@@ -54,7 +54,7 @@ from .scenario import (
     load_scenario_file,
     scenario_to_document,
 )
-from .simplex import LpProblem, LpResult, solve_lp
+from .simplex import LpProblem, LpResult, LpSolver
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

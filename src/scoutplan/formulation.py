@@ -23,7 +23,9 @@ call concurrently on shared scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graphs import ValidationError
 from .milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
@@ -77,6 +79,8 @@ class PlanVars:
     inspected: dict
     reverse: dict
     cost_terms: list
+    # plan_to_assignment's index per (id(scenario), inspection_decay)
+    assignment_index: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def compact_variable_count(scenario: Scenario) -> int:
@@ -470,19 +474,101 @@ def extract_plan(solution, plan_vars: PlanVars, scenario: Scenario) -> Plan:
                 tuple(breakdown), total)
 
 
+class _AssignmentIndex:
+    """The plan-independent part of plan_to_assignment, as id arrays.
+
+    A scout on an edge location marks the pair (undirected edge, deployment
+    step) as used.  The pairs are numbered in scout_at order, and pair
+    n_pairs stands for every pair that no scout can mark.
+    """
+
+    def __init__(self, pv: PlanVars, scenario: Scenario, inspection_decay: bool):
+        g = scenario.graph
+        uedge = [g.uedge_of_location(loc) for loc in range(g.n_nodes, g.n_locations)]
+        u_hat = [scenario.edge_uncertainty(ue) for ue in range(len(g.uedges))]
+
+        self.carrier_edge = np.array(list(pv.carrier_edge.values()), dtype=np.intp)
+        self.carrier_edge_at = np.array([pv.carrier_at[key] for key in pv.carrier_edge],
+                                        dtype=np.intp)
+        # moved[t]: any carrier or scout on an edge location at t
+        row_of = {t: i for i, t in enumerate(pv.moved)}
+        self.moved = np.array(list(pv.moved.values()), dtype=np.intp)
+        moved_src = [pv.carrier_at[(loc, t)] for t in pv.moved
+                     for loc in range(g.n_nodes, g.n_locations)]
+        moved_row = [i for i in row_of.values() for loc in range(g.n_nodes, g.n_locations)]
+        pairs: dict[tuple[int, int], int] = {}
+        src, pair = [], []
+        for (loc, s, t), vid in pv.scout_at.items():
+            if loc >= g.n_nodes:
+                src.append(vid)
+                pair.append(pairs.setdefault((uedge[loc - g.n_nodes], t), len(pairs)))
+                moved_row.append(row_of.get(t, len(row_of)))
+        self.scout_src = np.array(src, dtype=np.intp)
+        self.scout_pair = np.array(pair, dtype=np.intp)
+        self.moved_src = np.array(moved_src + src, dtype=np.intp)
+        self.moved_row = np.array(moved_row, dtype=np.intp)
+        self.n_pairs = n = len(pairs)
+        # scout_edge and inspected copy their pair's flag
+        flagged = list(pv.scout_edge.items()) + list(pv.inspected.items())
+        self.pair_flag = np.array([vid for key, vid in flagged], dtype=np.intp)
+        self.pair_flag_of = np.array([pairs.get(key, n) for key, vid in flagged],
+                                     dtype=np.intp)
+
+        # inspect_ratio[(ue, t)]: min(1, the credits of the inspected steps in
+        # its window), summed in ascending step order
+        credit = decay_coefficients(scenario.decay_horizon)
+        self.inspected = np.array(list(pv.inspected.values()), dtype=np.intp)
+        column_of = {key: i for i, key in enumerate(pv.inspected)}
+        rows, cols, weights = [], [], []
+        for i, (ue, t) in enumerate(pv.inspect_ratio):
+            first = max(t - scenario.decay_horizon, 1) if inspection_decay else 1
+            for t_h in range(first, t):
+                col = column_of.get((ue, t_h))
+                if col is not None:
+                    rows.append(i)
+                    cols.append(col)
+                    weights.append(credit[t - t_h - 1] if inspection_decay else 1.0)
+        self.ratio = np.array(list(pv.inspect_ratio.values()), dtype=np.intp)
+        self.credit_row = np.array(rows, dtype=np.intp)
+        self.credit_col = np.array(cols, dtype=np.intp)
+        self.credit = np.array(weights, dtype=float)
+
+        # carrier_unc and scout_unc: max(0, scale * (edge flag - ratio))
+        zeta = scenario.scout_cost_scale
+        unc, edge, ratio, scale = [], [], [], []
+        for (loc, t), vid in pv.carrier_unc.items():
+            ue = uedge[loc - g.n_nodes]
+            unc.append(vid)
+            edge.append(pv.carrier_edge[(loc, t)])
+            ratio.append(pv.inspect_ratio[(ue, t)])
+            scale.append(u_hat[ue])
+        for (ue, t), vid in pv.scout_unc.items():
+            unc.append(vid)
+            edge.append(pv.scout_edge[(ue, t)])
+            ratio.append(pv.inspect_ratio[(ue, t)])
+            scale.append(zeta * u_hat[ue])
+        self.unc = np.array(unc, dtype=np.intp)
+        self.unc_edge = np.array(edge, dtype=np.intp)
+        self.unc_ratio = np.array(ratio, dtype=np.intp)
+        self.unc_scale = np.array(scale, dtype=float)
+
+
 def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars,
                        scenario: Scenario, inspection_decay: bool = True):
     """Full variable assignment realizing a plan, with every derived series
     (movement/edge flags, inspections, inspection ratios, uncertainty slacks)
     at its cost-minimal value.  Feasible by construction for structurally
-    valid trajectories; useful as a warm incumbent and in tests."""
-    import numpy as np
-
-    g = scenario.graph
-    n_t, n_tau = scenario.horizon, scenario.scout_steps
+    valid trajectories; useful as a warm incumbent and in tests.  The index
+    of the derived families is built on the first call for a plan_vars,
+    scenario and inspection_decay, and kept on plan_vars."""
     pv = plan_vars
-    n_vars = len(pv.reverse)
-    x = np.zeros(n_vars)
+    key = (id(scenario), inspection_decay)
+    cached = pv.assignment_index.get(key)
+    if cached is None or cached[0] is not scenario:
+        cached = (scenario, _AssignmentIndex(pv, scenario, inspection_decay))
+        pv.assignment_index[key] = cached
+    index = cached[1]
+    x = np.zeros(len(pv.reverse))
 
     for route in carrier_routes:
         for t, loc in enumerate(route, start=1):
@@ -495,47 +581,17 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars,
     for (v, t), count in deployments.items():
         x[pv.deployed[(v, t)]] = count
 
-    for (loc, t), vid in pv.carrier_edge.items():
-        x[vid] = 1.0 if x[pv.carrier_at[(loc, t)]] > 0 else 0.0
-    scout_edge_used = {}
-    for (loc, s, t), vid in pv.scout_at.items():
-        if not g.is_node(loc) and x[vid] > 0:
-            scout_edge_used[(g.uedge_of_location(loc), t)] = True
-    for (ue, t), vid in pv.scout_edge.items():
-        x[vid] = 1.0 if scout_edge_used.get((ue, t)) else 0.0
-    for t, vid in pv.moved.items():
-        edges_busy = any(
-            x[pv.carrier_at[(loc, t)]] > 0
-            for loc in range(g.n_nodes, g.n_locations)
-        ) or any(
-            used for (ue, tt), used in scout_edge_used.items() if tt == t
-        )
-        x[vid] = 1.0 if edges_busy else 0.0
-    for (ue, t), vid in pv.inspected.items():
-        x[vid] = 1.0 if scout_edge_used.get((ue, t)) else 0.0
-
-    credit = decay_coefficients(scenario.decay_horizon)
-    for (ue, t), vid in pv.inspect_ratio.items():
-        total = 0.0
-        if inspection_decay:
-            past = range(max(t - scenario.decay_horizon, 1), t)
-        else:
-            past = range(1, t)
-        for t_h in past:
-            if (ue, t_h) in pv.inspected and x[pv.inspected[(ue, t_h)]] > 0:
-                total += credit[t - t_h - 1] if inspection_decay else 1.0
-        x[vid] = min(1.0, total)
-
-    zeta = scenario.scout_cost_scale
-    for (loc, t), vid in pv.carrier_unc.items():
-        ue = g.uedge_of_location(loc)
-        u_hat = scenario.edge_uncertainty(ue)
-        z = x[pv.inspect_ratio[(ue, t)]]
-        x[vid] = max(0.0, u_hat * (x[pv.carrier_edge[(loc, t)]] - z))
-    for (ue, t), vid in pv.scout_unc.items():
-        u_hat = scenario.edge_uncertainty(ue)
-        z = x[pv.inspect_ratio[(ue, t)]]
-        x[vid] = max(0.0, zeta * u_hat * (x[pv.scout_edge[(ue, t)]] - z))
+    x[index.carrier_edge] = x[index.carrier_edge_at] > 0
+    used = np.bincount(index.scout_pair, x[index.scout_src] > 0, index.n_pairs + 1) > 0
+    x[index.pair_flag] = used[index.pair_flag_of]
+    x[index.moved] = np.bincount(index.moved_row, x[index.moved_src] > 0,
+                                 len(index.moved) + 1)[:-1] > 0
+    inspected = x[index.inspected] > 0
+    x[index.ratio] = np.minimum(1.0, np.bincount(
+        index.credit_row, index.credit * inspected[index.credit_col],
+        minlength=len(index.ratio)))
+    x[index.unc] = np.maximum(0.0, index.unc_scale * (
+        x[index.unc_edge] - x[index.unc_ratio]))
     return x
 
 

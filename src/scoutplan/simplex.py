@@ -1,37 +1,44 @@
-"""Bounded-variable primal and dual simplex.
+"""Bounded-variable dual simplex, with the primal as its phase 2.
 
 Relaxation engine for the branch-and-bound solver.  Variables keep their
 boxes (no standard-form expansion): nonbasic variables rest at a bound and
 the ratio tests allow bound flips.
 
-A warm start whose basis is dual feasible (a parent node's optimal basis
-after a branching bound change, or the planner's root handed to the search)
-is re-solved by the bounded dual simplex: the leaving row is the primal
-infeasibility with the largest square over its dual devex weight, and the
-ratio test is a Harris two-pass test with bound flipping, so boxed columns
-whose reduced cost changes sign jump to their other bound instead of
-entering (Maros (2003), EJOR 144; Koberstein (2005), PhD thesis,
-Paderborn).  Every dual iterate's objective bounds the LP optimum from
-below, so a solve given a cutoff stops as soon as it reaches it.  Once the
-basis is primal feasible the primal phase 2 checks optimality, which
-normally takes no pivot.
+Every solve starts in the bounded dual simplex: a cold one from the slack
+basis with each structural column at the bound its cost favours, a warm one
+from the given basis (a parent node's optimal basis after a branching bound
+change, or the planner's root handed to the search).  The leaving row is
+the primal infeasibility with the largest square over its dual devex
+weight, and the ratio test is a Harris two-pass test with bound flipping,
+so boxed columns whose reduced cost changes sign jump to their other bound
+instead of entering (Maros (2003), EJOR 144; Koberstein (2005), PhD thesis,
+Paderborn).  Whenever the reduced costs are priced afresh, a boxed column
+of the wrong sign flips to its other bound, and any other column of the
+wrong sign (unboxed on the side its cost favours, or free) gets a cost
+shift that makes its reduced cost zero, so no phase 1 is needed.  Every
+dual iterate's objective bounds the LP optimum from below, so a solve given
+a cutoff stops as soon as it reaches it, unless a shift is in effect.  An
+infeasible verdict does not depend on the costs and stands under shifts.
+Once the basis is primal feasible the shifts are removed and the primal
+phase 2 finishes, which normally takes no pivot; should it find the basis
+primal infeasible, it hands it back to the dual.
 
-Cold starts, and warm bases that are not dual feasible, go through the
-primal: a composite phase 1 prices currently-infeasible basic variables with
-unit costs, so no artificial columns are ever added.  Pricing is devex with
-reduced costs updated incrementally while the phase-2 cost vector is stable;
-after a run of degenerate steps either method falls back to Bland's rule to
+Pricing in either loop is devex with reduced costs updated incrementally;
+after a run of degenerate steps either loop falls back to Bland's rule to
 guarantee termination.  The primal ratio test is the two-pass (Harris)
 kind: tiny coefficients never block, and the second pass picks the largest
 admissible pivot within the tolerance-relaxed step.  A deadline is checked
-at every pivot of either loop.  The basis is held as a
-sparse LU factorization (SuperLU, fixed COLAMD column order) of a start
-basis plus a product-form eta file, one eta per pivot (Forrest and Tomlin
-(1972), Math. Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).
-It is refactorized once the eta file holds more nonzeros than L and U, and
-a terminal verdict is always confirmed on a fresh factorization.  All
-tie-breaks take the lowest variable index, so identical inputs give
-identical bases.
+at every pivot of either loop.  The basis is held as a sparse LU
+factorization (SuperLU, fixed COLAMD column order) of a start basis plus a
+product-form eta file, one eta per pivot (Forrest and Tomlin (1972), Math.
+Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).  It is
+refactorized once the eta file holds more nonzeros than L and U.  Before a
+cutoff, infeasible or optimal verdict, x_B and the duals are recomputed on
+the current factors, which are kept when the primal residual |Ax - b| and
+the basic reduced costs stay within RESIDUAL_PRIMAL and RESIDUAL_DUAL
+(relative to 1 + |b| and 1 + |c|), and refactorized otherwise; the verdict
+is then checked again on the recomputed values.  All tie-breaks take the
+lowest variable index, so identical inputs give identical bases.
 
 LpSolver keeps the assembled matrices so branch-and-bound can re-solve the
 same problem under per-node bounds without rebuilding anything.
@@ -52,6 +59,8 @@ EPS_PIVOT = 1e-9            # steps below this count as degenerate
 EPS_FEAS = 1e-6
 EPS_COST = 1e-9
 _MIN_PIVOT = 1e-7           # coefficients below this never block or pivot
+RESIDUAL_PRIMAL = 1e-9      # |Ax - b| over 1 + |b| that a verdict's factors may leave
+RESIDUAL_DUAL = 1e-9        # |c_B - B'y| over 1 + |c| that a verdict's factors may leave
 
 NB_LOWER, NB_UPPER, BASIC, NB_FREE = 0, 1, 2, 3
 
@@ -238,12 +247,15 @@ class LpSolver:
               max_iterations: int | None = None,
               cutoff: float | None = None,
               deadline: float | None = None) -> LpResult:
-        """Solve under optionally overridden structural bounds.
+        """Solve under optionally overridden structural bounds, from
+        warm_start's basis or, without one, from the slack basis.
 
-        A warm start that is dual feasible runs the dual simplex, which
-        returns status cutoff once its objective reaches cutoff.  deadline
-        is a time.monotonic() value; past it the solve returns interrupted.
-        Bounds with a lower above an upper give infeasible without a pivot.
+        The dual simplex returns status cutoff once its objective reaches
+        cutoff.  Hitting max_iterations returns stalled (never a silently
+        wrong answer).  deadline is a time.monotonic() value; past it the
+        solve returns interrupted.  Bounds with a lower above an upper give
+        infeasible without a pivot.  Independent solves may run
+        concurrently; a single solve is single-threaded.
         """
         lo = self.problem.lower if lower is None else lower
         hi = self.problem.upper if upper is None else upper
@@ -307,12 +319,12 @@ def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
 
 
 class _Run:
-    """One solve: bound vectors, basis state and the pivot loop."""
+    """One solve: bound vectors, basis state and the pivot loops."""
 
     def __init__(self, ctx: LpSolver, lower, upper, warm_start: Basis | None):
         self.ctx = ctx
         self.m, self.n, self.total = ctx.m, ctx.n, ctx.total
-        self.cost = ctx.cost
+        self.cost = ctx.cost            # a shifted copy while shifts are in effect
         self.cols = ctx.cols
         self.cols_t = ctx.cols_t
         self.rhs = ctx.rhs
@@ -337,13 +349,11 @@ class _Run:
                     self.basis, self.status = basic, status
                 except RuntimeError:
                     self.basis = None
-        self.warm = self.basis is not None
         if self.basis is None:
             self._slack_restart(_initial_status(lower, upper))
 
         self.x = self._recompute_x()
         self.reduced = None
-        self.reduced_phase = None       # 2 when self.reduced matches phase-2 costs
         self.weights = np.ones(self.total)
 
     def _slack_restart(self, status=None):
@@ -382,10 +392,23 @@ class _Run:
         return self.ctx.col_idx[lo:hi], self.ctx.col_val[lo:hi]
 
     def _price(self):
-        """Phase-2 reduced costs from a fresh BTRAN of the basic costs."""
+        """Reduced costs from a fresh BTRAN of the basic costs."""
         y = self.factors.btran(self.cost[self.basis])
         self.reduced = self.cost - self.cols_t @ y
-        self.reduced_phase = 2
+
+    def _confirm(self):
+        """Recompute x_B and the reduced costs on the current factors, and
+        refactorize when their residuals show that the factors have drifted."""
+        self.x = self._recompute_x()
+        self._price()
+        if self.factors.k == 0:
+            return                  # a fresh factorization is as good as it gets
+        primal = np.abs(self.cols @ self.x - self.rhs).max()
+        dual = np.abs(self.reduced[self.basis]).max()
+        if (primal > RESIDUAL_PRIMAL * (1.0 + np.abs(self.rhs).max())
+                or dual > RESIDUAL_DUAL * (1.0 + np.abs(self.cost).max())):
+            self._refactorize()
+            self._price()
 
     def _sides(self):
         """Nonbasic columns whose reduced cost dual feasibility keeps
@@ -393,39 +416,63 @@ class _Run:
         free = self.status == NB_FREE
         return (self.status == NB_LOWER) | free, (self.status == NB_UPPER) | free
 
-    def _dual_feasible(self, movable) -> bool:
-        """No nonbasic column that can move has a reduced cost of the wrong
-        sign beyond EPS_COST."""
+    def _flip(self, flips):
+        """Move the nonbasic columns flips to their other bound."""
+        to_upper = self.status[flips] == NB_LOWER
+        target = np.where(to_upper, self.upper[flips], self.lower[flips])
+        change = np.zeros(self.total)
+        change[flips] = target - self.x[flips]
+        self.x[flips] = target
+        self.status[flips] = np.where(to_upper, NB_UPPER, NB_LOWER)
+        self.x[self.basis] -= self.factors.ftran(self.cols @ change)
+
+    def _make_dual_feasible(self, movable):
+        """Flip each boxed column whose reduced cost has the wrong sign beyond
+        EPS_COST to its other bound, and shift the cost of every other such
+        column so that its reduced cost is zero."""
         d = self.reduced
         lo_side, hi_side = self._sides()
-        return not np.any(movable & ((lo_side & (d < -EPS_COST))
-                                     | (hi_side & (d > EPS_COST))))
+        wrong = movable & ((lo_side & (d < -EPS_COST)) | (hi_side & (d > EPS_COST)))
+        if not wrong.any():
+            return
+        boxed = (np.isfinite(self.lower) & np.isfinite(self.upper)
+                 & (self.status != NB_FREE))
+        flips = np.flatnonzero(wrong & boxed)
+        if flips.size:
+            self._flip(flips)
+        shifts = np.flatnonzero(wrong & ~boxed)
+        if shifts.size:
+            if self.cost is self.ctx.cost:
+                self.cost = self.cost.copy()
+            self.cost[shifts] -= d[shifts]
+            d[shifts] = 0.0
 
     def solve(self, max_iterations, cutoff=None, deadline=None) -> LpResult:
+        movable = (self.upper - self.lower) > EPS_PIVOT
         iterations = 0
-        if self.warm:
-            movable = (self.upper - self.lower) > EPS_PIVOT
-            self._price()
-            if self._dual_feasible(movable):
-                result, iterations = self._dual(movable, max_iterations, cutoff,
-                                                deadline)
-                if result is not None:
-                    return result
-        return self._primal(iterations, max_iterations, deadline)
+        while True:
+            result, iterations = self._dual(movable, iterations, max_iterations,
+                                            cutoff, deadline)
+            if result is None:
+                if self.cost is not self.ctx.cost:      # remove the shifts
+                    self.cost, self.reduced = self.ctx.cost, None
+                result, iterations = self._primal(movable, iterations,
+                                                  max_iterations, deadline)
+            if result is not None:
+                return result
 
-    def _dual(self, movable, max_iterations, cutoff, deadline):
-        """Bounded dual simplex from the dual feasible current basis.
+    def _dual(self, movable, iterations, max_iterations, cutoff, deadline):
+        """Bounded dual simplex from the current basis, made dual feasible.
 
-        Returns (result, iterations); result None hands the basis to the
-        primal, either primal feasible or (after a refactorization brought
-        back dual infeasibilities) as a general warm start.  A cutoff or
-        infeasible verdict is only given on a fresh factorization.
+        Returns (result, iterations); result None hands the now primal
+        feasible basis to the primal phase 2.
         """
         span = np.where(movable, self.upper - self.lower, 0.0)
         weights = np.ones(self.m)       # dual devex reference weights, per row
         unit = np.zeros(self.m)
-        iterations = 0
         degenerate_run = 0
+        self.reduced = None
+        checked = False                 # x and d recomputed since the last pivot
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 return self._result("interrupted", iterations), iterations
@@ -433,16 +480,17 @@ class _Run:
                 return self._result("stalled", iterations), iterations
             if self.reduced is None:            # refactorized since last pivot
                 self._price()
-                if not self._dual_feasible(movable):
-                    return None, iterations
-            fresh = self.factors.k == 0
-            if cutoff is not None:
+                self._make_dual_feasible(movable)
+            trusted = checked or self.factors.k == 0
+            if cutoff is not None and self.cost is self.ctx.cost:
                 objective = float(self.cost @ self.x) + self.ctx.constant
                 if objective >= cutoff:
-                    if fresh:
+                    if trusted:
                         return LpResult("cutoff", None, objective, iterations,
                                         Basis(self.basis, self.status)), iterations
-                    self._refactorize()
+                    self._confirm()
+                    self._make_dual_feasible(movable)
+                    checked = True
                     continue
 
             xb = self.x[self.basis]
@@ -473,31 +521,27 @@ class _Run:
                                      span[cand], excess[r],
                                      degenerate_run >= _BLAND_AFTER)
             if found is None:
-                if fresh:
+                if trusted:
                     return self._result("infeasible", iterations), iterations
-                self._refactorize()
+                self._confirm()
+                self._make_dual_feasible(movable)
+                checked = True
                 continue
             pick, flips, step = found
             entering = int(cand[pick])
-            flips = cand[flips]
 
             rows_e, vals_e = self.column(entering)
             a_q = np.zeros(self.m)
             a_q[rows_e] = vals_e
             w = self.factors.ftran(a_q)
             pivot = w[r]
-            if abs(pivot - alpha[entering]) > 1e-7 * (1.0 + abs(pivot)) and not fresh:
+            if (abs(pivot - alpha[entering]) > 1e-7 * (1.0 + abs(pivot))
+                    and self.factors.k):
                 self._refactorize()     # the row and the column disagree
                 continue
 
             if flips.size:
-                to_upper = self.status[flips] == NB_LOWER
-                target = np.where(to_upper, self.upper[flips], self.lower[flips])
-                change = np.zeros(self.total)
-                change[flips] = target - self.x[flips]
-                self.x[flips] = target
-                self.status[flips] = np.where(to_upper, NB_UPPER, NB_LOWER)
-                self.x[self.basis] -= self.factors.ftran(self.cols @ change)
+                self._flip(cand[flips])
 
             bound = lb_b[r] if sigma > 0 else ub_b[r]
             theta = (self.x[leaving] - bound) / pivot
@@ -519,58 +563,47 @@ class _Run:
                 weights[:] = 1.0
 
             iterations += 1
+            checked = False
             degenerate_run = degenerate_run + 1 if step <= EPS_COST else 0
             if self.factors.update(r, w):
                 self._refactorize()
 
-    def _primal(self, iterations, max_iterations, deadline) -> LpResult:
+    def _primal(self, movable, iterations, max_iterations, deadline):
+        """Primal phase 2 from a primal feasible basis.
+
+        Returns (result, iterations); result None hands the basis back to
+        the dual when it is found primal infeasible beyond EPS_FEAS.
+        """
         degenerate_run = 0
-        confirmed = False       # a terminal check already refactorized once and
+        confirmed = False       # a terminal check already recomputed x and d and
                                 # only noise-level steps happened since
         while True:
             if deadline is not None and time.monotonic() >= deadline:
-                return self._result("interrupted", iterations)
+                return self._result("interrupted", iterations), iterations
             if iterations > max_iterations:
-                return self._result("stalled", iterations)
+                return self._result("stalled", iterations), iterations
 
             xb = self.x[self.basis]
             lb_b, ub_b = self.lower[self.basis], self.upper[self.basis]
-            below = xb < lb_b - EPS_FEAS
-            above = xb > ub_b + EPS_FEAS
-            phase1 = bool(below.any() or above.any())
-
-            if phase1 or self.reduced is None or self.reduced_phase != 2:
-                if phase1:
-                    # price only the infeasible rows: unit costs of sign +-1
-                    y = self.factors.btran(above.astype(float) - below)
-                    self.reduced = -(self.cols_t @ y)
-                    self.reduced[self.basis] = 0.0
-                    self.reduced_phase = 1
-                else:
-                    y = self.factors.btran(self.cost[self.basis])
-                    self.reduced = self.cost - self.cols_t @ y
-                    self.reduced_phase = 2
+            if np.any((xb < lb_b - EPS_FEAS) | (xb > ub_b + EPS_FEAS)):
+                return None, iterations
+            if self.reduced is None:
+                self._price()
 
             reduced = self.reduced
-            at_lower = self.status == NB_LOWER
-            at_upper = self.status == NB_UPPER
-            free = self.status == NB_FREE
-            movable = (self.upper - self.lower) > EPS_PIVOT
-            eligible_up = ((at_lower & movable) | free) & (reduced < -EPS_COST)
-            eligible_dn = ((at_upper & movable) | free) & (reduced > EPS_COST)
-            candidates = eligible_up | eligible_dn
+            lo_side, hi_side = self._sides()
+            eligible_up = movable & lo_side & (reduced < -EPS_COST)
+            candidates = eligible_up | (movable & hi_side & (reduced > EPS_COST))
 
             if not candidates.any():
                 if self.factors.k > 0 and not confirmed:
-                    # terminal decisions want a fresh factorization; if the
-                    # refresh only resurfaces sub-tolerance noise we accept
-                    # the verdict next time instead of livelocking
-                    self._refactorize()
+                    # if the recomputed values only resurface sub-tolerance
+                    # noise, the verdict is accepted next time instead of
+                    # livelocking
+                    self._confirm()
                     confirmed = True
                     continue
-                if phase1:
-                    return self._result("infeasible", iterations)
-                return self._result("optimal", iterations)
+                return self._result("optimal", iterations), iterations
 
             if degenerate_run >= _BLAND_AFTER:
                 entering = int(np.flatnonzero(candidates)[0])
@@ -585,40 +618,18 @@ class _Run:
             w = self.factors.ftran(a_q)
             move = -sigma * w
 
-            # two-pass (Harris) ratio test
-            up = move > _MIN_PIVOT
-            dn = move < -_MIN_PIVOT
-            ratios = np.full(self.m, np.inf)
-            relaxed = np.full(self.m, np.inf)
-            target_status = np.zeros(self.m, dtype=np.int8)
-            idx = np.flatnonzero(up)
-            if idx.size:
-                blo = below[idx]
-                bound = np.where(blo, lb_b[idx], ub_b[idx])
-                blocks = ~above[idx]
-                ratio = np.where(blocks, (bound - xb[idx]) / move[idx], np.inf)
-                ratios[idx] = np.maximum(ratio, 0.0)
-                relaxed[idx] = np.where(
-                    blocks, (bound + EPS_FEAS - xb[idx]) / move[idx], np.inf)
-                target_status[idx] = np.where(blo, NB_LOWER, NB_UPPER)
-            idx = np.flatnonzero(dn)
-            if idx.size:
-                abv = above[idx]
-                bound = np.where(abv, ub_b[idx], lb_b[idx])
-                blocks = ~below[idx]
-                ratio = np.where(blocks, (bound - xb[idx]) / move[idx], np.inf)
-                ratios[idx] = np.maximum(ratio, 0.0)
-                relaxed[idx] = np.where(
-                    blocks, (bound - EPS_FEAS - xb[idx]) / move[idx], np.inf)
-                target_status[idx] = np.where(abv, NB_UPPER, NB_LOWER)
-
+            # two-pass (Harris) ratio test over the basics that move
+            idx = np.flatnonzero(np.abs(move) > _MIN_PIVOT)
+            rising = move[idx] > 0
+            gap = np.where(rising, ub_b[idx] - xb[idx], xb[idx] - lb_b[idx])
+            magnitude = np.abs(move[idx])
+            ratios = np.maximum(gap, 0.0) / magnitude
+            relaxed = (gap + EPS_FEAS) / magnitude
             own_range = self.upper[entering] - self.lower[entering]
-            room = float(relaxed.min()) if self.m else np.inf
+            room = float(relaxed.min()) if idx.size else np.inf
 
             if np.isinf(room) and np.isinf(own_range):
-                if phase1:
-                    return self._result("stalled", iterations)
-                return LpResult("unbounded", None, None, iterations, None)
+                return LpResult("unbounded", None, None, iterations, None), iterations
 
             iterations += 1
             if own_range <= room:
@@ -630,21 +641,16 @@ class _Run:
                 self.x[entering] = (self.upper[entering] if sigma > 0
                                     else self.lower[entering])
                 self.status[entering] = NB_UPPER if sigma > 0 else NB_LOWER
-                if phase1:
-                    self.reduced = None     # infeasibility set may have changed
                 continue
 
             admissible = np.flatnonzero(ratios <= room)
-            if admissible.size == 0:
-                admissible = np.flatnonzero(relaxed <= room + 1e-12)
             if degenerate_run >= _BLAND_AFTER:
-                leave_pos = int(admissible[np.argmin(self.basis[admissible])])
+                pick = int(admissible[np.argmin(self.basis[idx[admissible]])])
             else:
-                leave_pos = int(admissible[np.argmax(np.abs(move[admissible]))])
+                pick = int(admissible[np.argmax(magnitude[admissible])])
+            leave_pos = int(idx[pick])
             pivot = w[leave_pos]
-            step = max(float(ratios[leave_pos]), 0.0)
-            if np.isinf(step):
-                step = max(float(relaxed[leave_pos]), 0.0)
+            step = float(ratios[pick])
             degenerate_run = degenerate_run + 1 if step <= EPS_PIVOT else 0
             if step > 1e-7:
                 confirmed = False       # real progress: future checks re-verify
@@ -652,32 +658,25 @@ class _Run:
             leaving = int(self.basis[leave_pos])
             self.x[self.basis] = xb + move * step
             self.x[entering] = self.x[entering] + sigma * step
-            self.x[leaving] = (self.lower[leaving]
-                               if target_status[leave_pos] == NB_LOWER
-                               else self.upper[leaving])
-            self.status[leaving] = target_status[leave_pos]
+            self.x[leaving] = self.upper[leaving] if rising[pick] else self.lower[leaving]
+            self.status[leaving] = NB_UPPER if rising[pick] else NB_LOWER
             self.status[entering] = BASIC
             self.basis[leave_pos] = entering
 
-            if self.reduced_phase == 2 and not phase1:
-                # price update along the pivot row keeps reduced costs current;
-                # row r of the new inverse is that of the old over the pivot
-                unit = np.zeros(self.m)
-                unit[leave_pos] = 1.0 / pivot
-                row = self.factors.btran(unit)
-                alpha = self.cols_t @ row
-                d_q = self.reduced[entering]
-                self.reduced -= d_q * alpha
-                self.reduced[entering] = 0.0
-                self.reduced[leaving] = -d_q / pivot
-                gamma_q = max(self.weights[entering], 1.0)
-                np.maximum(self.weights, np.square(alpha) * gamma_q,
-                           out=self.weights)
-                self.weights[leaving] = max(gamma_q / (pivot * pivot), 1.0)
-                if self.weights.max() > 1e8:
-                    self.weights[:] = 1.0
-            else:
-                self.reduced = None
+            # price update along the pivot row keeps reduced costs current;
+            # row r of the new inverse is that of the old over the pivot
+            unit = np.zeros(self.m)
+            unit[leave_pos] = 1.0 / pivot
+            alpha = self.cols_t @ self.factors.btran(unit)
+            d_q = self.reduced[entering]
+            self.reduced -= d_q * alpha
+            self.reduced[entering] = 0.0
+            self.reduced[leaving] = -d_q / pivot
+            gamma_q = max(self.weights[entering], 1.0)
+            np.maximum(self.weights, np.square(alpha) * gamma_q, out=self.weights)
+            self.weights[leaving] = max(gamma_q / (pivot * pivot), 1.0)
+            if self.weights.max() > 1e8:
+                self.weights[:] = 1.0
 
             if self.factors.update(leave_pos, w):
                 self._refactorize()
@@ -690,15 +689,3 @@ class _Run:
         x = self._recompute_x()
         obj = float(self.cost @ x) + self.ctx.constant
         return LpResult(status, x[: self.n].copy(), obj, iterations, basis)
-
-
-def solve_lp(problem: LpProblem, warm_start: Basis | None = None,
-             max_iterations: int | None = None) -> LpResult:
-    """Solve to a basic optimal solution or report infeasible/unbounded.
-
-    Hitting the iteration limit returns status "stalled" (never a silently
-    wrong answer).  Independent solves may run concurrently; a single solve
-    is single-threaded.
-    """
-    return LpSolver(problem).solve(warm_start=warm_start,
-                                   max_iterations=max_iterations)

@@ -21,7 +21,7 @@ from scoutplan.formulation import build_model
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
 from scoutplan.scenario import load_scenario_file
-from scoutplan.simplex import LpSolver, solve_lp
+from scoutplan.simplex import LpSolver
 
 
 def knapsack_model():
@@ -216,7 +216,7 @@ class TestRelaxationBound:
     def test_lp_relaxation_bounds_milp(self):
         model, _, _ = knapsack_model()
         prob, _ = model_to_lp(model)
-        relax = solve_lp(prob)
+        relax = LpSolver(prob).solve()
         exact = solve_milp(model)
         assert relax.objective <= exact.objective + 1e-6
 
@@ -232,7 +232,7 @@ class TestRelaxationBound:
                       starts=((0, 1),), goals=((1, 1),))
         model, _ = build_model(sc)
         prob, _ = model_to_lp(model)
-        relax = solve_lp(prob)
+        relax = LpSolver(prob).solve()
         exact = solve_milp(model)
         assert relax.status == "optimal" and exact.status == "optimal"
         assert relax.objective <= exact.objective + 1e-6
@@ -490,11 +490,11 @@ class TestPresolve:
         model, _ = build_model(corpus_scenario(kind, seed))
         problem, int_ids = model_to_lp(model)
         presolved = presolve(problem, int_ids)
-        full = solve_lp(problem)
+        full = LpSolver(problem).solve()
         if presolved.infeasible:
             assert full.status == "infeasible"
             return
-        reduced = solve_lp(presolved.problem)
+        reduced = LpSolver(presolved.problem).solve()
         assert full.status == reduced.status
         if full.status == "optimal":
             assert reduced.objective >= full.objective - 1e-7

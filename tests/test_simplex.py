@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from scoutplan import simplex
-from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpProblem, LpSolver, _Factors, solve_lp
+from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpProblem, LpSolver, _Factors
 
 
 def boxed_lp(objective, rows, senses, rhs, lower, upper, constant=0.0):
@@ -25,7 +25,7 @@ def boxed_lp(objective, rows, senses, rhs, lower, upper, constant=0.0):
 class TestBasics:
     def test_single_variable(self):
         prob = boxed_lp([-1.0], [[1.0]], ["L"], [3.0], [0.0], [np.inf])
-        res = solve_lp(prob)
+        res = LpSolver(prob).solve()
         assert res.status == "optimal"
         assert res.x[0] == pytest.approx(3.0)
         assert res.objective == pytest.approx(-3.0)
@@ -33,23 +33,23 @@ class TestBasics:
     def test_tight_cover(self):
         prob = boxed_lp([1.0, 1.0], [[1.0, 1.0]], ["G"], [2.0],
                         [0.0, 0.0], [2.0, 2.0])
-        res = solve_lp(prob)
+        res = LpSolver(prob).solve()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(2.0)
 
     def test_infeasible(self):
         prob = boxed_lp([1.0], [[1.0], [1.0]], ["G", "L"], [3.0, 1.0],
                         [0.0], [10.0])
-        assert solve_lp(prob).status == "infeasible"
+        assert LpSolver(prob).solve().status == "infeasible"
 
     def test_unbounded(self):
         prob = boxed_lp([-1.0], [[0.0]], ["L"], [1.0], [0.0], [np.inf])
-        assert solve_lp(prob).status == "unbounded"
+        assert LpSolver(prob).solve().status == "unbounded"
 
     def test_no_constraints(self):
         prob = boxed_lp([2.0, -1.0], np.zeros((0, 2)), [], [],
                         [0.0, 0.0], [5.0, 5.0])
-        res = solve_lp(prob)
+        res = LpSolver(prob).solve()
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-5.0)
 
@@ -58,13 +58,13 @@ class TestBasics:
         A = rng.uniform(0.1, 1, size=(20, 40))
         prob = boxed_lp(rng.uniform(0.1, 1, 40), A, ["G"] * 20,
                         rng.uniform(1, 3, 20), np.zeros(40), np.full(40, 10.0))
-        res = solve_lp(prob, max_iterations=2)
+        res = LpSolver(prob).solve(max_iterations=2)
         assert res.status == "stalled"
         assert res.x is None
 
     def test_constant_carried(self):
         prob = boxed_lp([1.0], [[1.0]], ["G"], [1.0], [0.0], [5.0], constant=7.0)
-        assert solve_lp(prob).objective == pytest.approx(8.0)
+        assert LpSolver(prob).solve().objective == pytest.approx(8.0)
 
 
 class TestDeterminism:
@@ -73,7 +73,7 @@ class TestDeterminism:
         A = rng.uniform(-1, 2, size=(30, 60))
         prob = boxed_lp(rng.uniform(-2, 2, 60), A, ["L"] * 30,
                         rng.uniform(1, 4, 30), np.zeros(60), np.full(60, 3.0))
-        a, b = solve_lp(prob), solve_lp(prob)
+        a, b = LpSolver(prob).solve(), LpSolver(prob).solve()
         assert a.objective == b.objective
         assert np.array_equal(a.basis.basic, b.basis.basic)
         assert np.array_equal(a.basis.status, b.basis.status)
@@ -94,7 +94,7 @@ class TestFeasibilityOfReportedOptima:
         senses = np.array(["L", "G", "E"])[rng.integers(0, 3, m)]
         rhs = np.round(rng.uniform(-4, 4, m), 2)
         prob = boxed_lp(c, A, senses, rhs, lower, upper)
-        res = solve_lp(prob)
+        res = LpSolver(prob).solve()
 
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
         for i, s in enumerate(senses):
@@ -132,27 +132,24 @@ class TestFeasibilityOfReportedOptima:
 
 class TestWarmStart:
     def test_bound_change_resolves_fast_and_identically(self):
-        rng = np.random.default_rng(11)
-        m, n = 40, 80
-        A = rng.uniform(0.05, 1.0, size=(m, n))
-        prob = boxed_lp(rng.uniform(0.2, 2, n), A, ["G"] * m,
-                        rng.uniform(1, 5, m), np.zeros(n), np.full(n, 4.0))
-        base = solve_lp(prob)
+        # mixed rows, so the cold dual needs dozens of pivots from the slacks
+        prob = random_boxed_lp(11, m=40, n=80)
+        base = LpSolver(prob).solve()
         assert base.status == "optimal"
 
-        upper = prob.upper.copy()
-        upper[int(np.argmax(base.x))] = 0.5
+        lower, upper = branched(prob, base, np.random.default_rng(11))
         solver = LpSolver(prob)
-        warm = solver.solve(warm_start=base.basis, upper=upper)
-        cold = solver.solve(upper=upper)
+        warm = solver.solve(warm_start=base.basis, lower=lower, upper=upper)
+        cold = solver.solve(lower=lower, upper=upper)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+        assert cold.iterations > 20
         assert warm.iterations < cold.iterations
 
     def test_warm_start_with_stale_shape_is_ignored(self):
         prob = boxed_lp([1.0], [[1.0]], ["G"], [1.0], [0.0], [5.0])
         junk = Basis(np.array([0, 1, 2]), np.array([2, 2, 2], dtype=np.int8))
-        res = solve_lp(prob, warm_start=junk)
+        res = LpSolver(prob).solve(warm_start=junk)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
 
@@ -163,8 +160,8 @@ class TestWarmStart:
         status = np.array([BASIC, BASIC, NB_LOWER, NB_LOWER, NB_LOWER], dtype=np.int8)
         with pytest.raises(RuntimeError):
             _Factors(LpSolver(prob).cols, np.array([0, 1]))
-        cold = solve_lp(prob)
-        warm = solve_lp(prob, warm_start=Basis(np.array([0, 1]), status))
+        cold = LpSolver(prob).solve()
+        warm = LpSolver(prob).solve(warm_start=Basis(np.array([0, 1]), status))
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert np.array_equal(warm.basis.basic, cold.basis.basic)
@@ -174,7 +171,7 @@ class TestWarmStart:
         m, n = 30, 60
         prob = boxed_lp(rng.uniform(0.2, 2, n), rng.uniform(0.05, 1.0, size=(m, n)),
                         ["G"] * m, rng.uniform(1, 5, m), np.zeros(n), np.full(n, 4.0))
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         assert base.basis.binv is not None
         upper = prob.upper.copy()
         upper[int(np.argmax(base.x))] = 0.5
@@ -274,6 +271,23 @@ def random_boxed_lp(seed, m=20, n=40):
     return boxed_lp(np.round(rng.uniform(-3, 3, n), 2), A, senses, rhs, lower, upper)
 
 
+def random_general_lp(seed):
+    """A small LP with mixed L/G/E rows whose columns are boxed, bounded on
+    one side only or free, with costs of either sign: a cold start finds
+    some of them unboxed on the side their cost favours."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(2, 8)), int(rng.integers(3, 10))
+    A = np.round(rng.uniform(-3, 3, size=(m, n)) * (rng.random((m, n)) < 0.7), 2)
+    lower = np.round(rng.uniform(-3, 0, n), 2)
+    upper = lower + np.round(rng.uniform(0, 4, n), 2)
+    kind = rng.choice(4, n, p=[0.55, 0.15, 0.15, 0.15])    # boxed, >=, <=, free
+    lower[(kind == 2) | (kind == 3)] = -np.inf
+    upper[(kind == 1) | (kind == 3)] = np.inf
+    senses = np.array(["L", "G", "E"])[rng.integers(0, 3, m)]
+    return boxed_lp(np.round(rng.uniform(-5, 5, n), 2), A, senses,
+                    np.round(rng.uniform(-4, 4, m), 2), lower, upper)
+
+
 def highs(prob, lower, upper):
     """(status, objective) of scipy's HiGHS on prob under the given bounds."""
     A = prob.rows.toarray()
@@ -286,7 +300,7 @@ def highs(prob, lower, upper):
                   A_eq=A[eq] if eq.any() else None,
                   b_eq=prob.rhs[eq] if eq.any() else None,
                   bounds=list(zip(lower, upper)), method="highs")
-    status = {0: "optimal", 2: "infeasible"}[ref.status]
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
     return status, (ref.fun + prob.constant if ref.status == 0 else None)
 
 
@@ -323,12 +337,11 @@ class TestDualReSolve:
     @pytest.mark.parametrize("seed", range(12))
     def test_child_matches_cold_primal_and_highs(self, seed, dual_calls):
         prob = random_boxed_lp(seed)
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         assert base.status == "optimal"
         lower, upper = branched(prob, base, np.random.default_rng(seed))
         solver = LpSolver(prob)
         cold = solver.solve(lower=lower, upper=upper)
-        assert not dual_calls
         warm = solver.solve(warm_start=Basis(base.basis.basic, base.basis.status),
                             lower=lower, upper=upper)
         status, objective = highs(prob, lower, upper)
@@ -342,7 +355,7 @@ class TestDualReSolve:
 
     def test_warm_resolve_that_moves_counts_its_pivots(self, dual_calls):
         prob = random_boxed_lp(3)
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         lower, upper = branched(prob, base, np.random.default_rng(0))
         warm = LpSolver(prob).solve(
             warm_start=Basis(base.basis.basic, base.basis.status),
@@ -356,7 +369,7 @@ class TestDualReSolve:
         # x0 + x1 >= 1.5 over two binaries: fixing x0 at 0 leaves no point
         prob = boxed_lp([1.0, 2.0, 0.5], [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
                         ["G", "L"], [1.5, 1.8], np.zeros(3), np.ones(3))
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         assert base.status == "optimal"
         upper = prob.upper.copy()
         upper[0] = 0.0
@@ -367,7 +380,7 @@ class TestDualReSolve:
     @pytest.mark.parametrize("seed", range(8))
     def test_cutoff_only_at_or_below_the_optimum(self, seed, dual_calls):
         prob = random_boxed_lp(seed)
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         lower, upper = branched(prob, base, np.random.default_rng(seed))
         status, objective = highs(prob, lower, upper)
         solver = LpSolver(prob)
@@ -392,7 +405,7 @@ class TestDualReSolve:
     def test_crossed_child_bounds_are_infeasible(self, warm):
         # a child's ceil(x_j) above column j's fractional upper bound
         prob = random_boxed_lp(6)
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         j = next(j for j in base.basis.basic if j < len(prob.upper)
                  and np.ceil(base.x[j]) > prob.upper[j])
         lower = prob.lower.copy()
@@ -405,7 +418,7 @@ class TestDualReSolve:
     @pytest.mark.parametrize("warm", [False, True])
     def test_past_deadline_gives_no_verdict(self, warm):
         prob = random_boxed_lp(5)
-        base = solve_lp(prob)
+        base = LpSolver(prob).solve()
         lower, upper = branched(prob, base, np.random.default_rng(5))
         res = LpSolver(prob).solve(warm_start=base.basis if warm else None,
                                    lower=lower, upper=upper,
@@ -413,3 +426,60 @@ class TestDualReSolve:
         assert res.status == "interrupted"
         assert res.x is None and res.objective is None
         assert res.iterations == 0
+
+
+def assert_rows_hold(prob, x, tol=1e-6):
+    lhs = prob.rows @ x
+    assert np.all(lhs[prob.senses == "L"] <= prob.rhs[prob.senses == "L"] + tol)
+    assert np.all(lhs[prob.senses == "G"] >= prob.rhs[prob.senses == "G"] - tol)
+    assert np.allclose(lhs[prob.senses == "E"], prob.rhs[prob.senses == "E"],
+                       rtol=0, atol=tol)
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_shifted_costs_give_the_highs_verdict(self, seed):
+        # 51 of these start with a column unboxed on the side its cost
+        # favours, which the dual can only start from with a cost shift:
+        # 15 optimal, 22 infeasible and 14 unbounded
+        prob = random_general_lp(seed)
+        res = LpSolver(prob).solve()
+        status, objective = highs(prob, prob.lower, prob.upper)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, abs=1e-6)
+            assert_rows_hold(prob, res.x)
+            assert np.all(res.x >= prob.lower - 1e-6)
+            assert np.all(res.x <= prob.upper + 1e-6)
+
+    def test_columns_start_at_the_bound_their_cost_favours(self):
+        prob = boxed_lp([-1.0, 2.0, -3.0], [[1.0, 1.0, 1.0]], ["L"], [10.0],
+                        [0.0, -1.0, -np.inf], [4.0, 5.0, 2.0])
+        res = LpSolver(prob).solve(max_iterations=0)
+        assert res.status == "optimal" and res.iterations == 0
+        assert list(res.x) == [4.0, -1.0, 2.0]
+
+
+class TestResidualConfirm:
+    @pytest.mark.parametrize("child", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corrupted_carried_factors_give_the_highs_verdict(self, seed, child):
+        # the root hand-off re-solves under the same bounds; a child under
+        # one branching bound change
+        prob = random_boxed_lp(seed)
+        base = LpSolver(prob).solve()
+        factors = base.basis.binv.copy()
+        assert factors.k > 0
+        # perturb the last eta row outside the positions the pivots used
+        off = np.setdiff1d(np.arange(factors.m), factors.pos[:factors.k])
+        factors.etas[factors.k - 1, off] += 1e-3
+        lower, upper = prob.lower, prob.upper
+        if child:
+            lower, upper = branched(prob, base, np.random.default_rng(seed))
+        start = Basis(base.basis.basic, base.basis.status, factors)
+        res = LpSolver(prob).solve(warm_start=start, lower=lower, upper=upper)
+        status, objective = highs(prob, lower, upper)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, abs=1e-6)
+            assert_rows_hold(prob, res.x)
