@@ -16,16 +16,20 @@ integrality tolerance.
 
 Each node costs one LP solve, and a cold retry when its warm start stalls.
 A node keeps only its parent's optimal basis (basic columns and statuses),
-never its factorization, so every node LP factors its start basis once.
-That basis is dual feasible under the child's tightened bounds, so the node
-LP runs the dual simplex with the incumbent minus the gap as its cutoff: a
-node that cannot beat the incumbent is fathomed as soon as the dual
-objective shows it, before its LP is solved to optimality.  With a
-time_limit the deadline reaches into each LP solve, and a node whose LP it
-interrupts goes back to the pool with its parent's bound.  Branching
-forbids the fractional value on both children via floor/ceil bound
-tightening.  Nodes are selected best-bound first, ties in creation order;
-branching picks the most fractional integer variable, where
+never the parent's final factors.  The two children of a node share that
+basis: the first child's LP factors it, and the factorization it reports,
+taken before its first pivot, is attached to the shared basis, so the
+second child starts without factoring.  Under best-bound selection the
+second child is normally taken right after the first, so the extra factors
+live for about one node.  The basis is dual feasible under the child's
+tightened bounds, so the node LP runs the dual simplex with the incumbent
+minus the gap as its cutoff: a node that cannot beat the incumbent is
+fathomed as soon as the dual objective shows it, before its LP is solved to
+optimality.  With a time_limit the deadline reaches into each LP solve, and
+a node whose LP it interrupts goes back to the pool with its parent's bound.
+Branching forbids the fractional value on both children via floor/ceil
+bound tightening.  Nodes are selected best-bound first, ties in creation
+order; branching picks the most fractional integer variable, where
 fractionalities within the integrality tolerance of the best tie and the
 lowest id among them wins.  Incumbents come from the caller's seed and from
 nodes whose relaxation is integral.  Every incumbent is re-checked against
@@ -75,6 +79,9 @@ class MilpResult:
     best_bound: float
     gap: float
     nodes: int
+    lp_solves: int = 0                  # node LPs, cold retries included
+    lp_pivots: int = 0                  # their simplex pivots
+    factorizations: int = 0             # their sparse LU factorizations
 
     @property
     def optimal(self) -> bool:
@@ -451,6 +458,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     presolved = presolve_model(model, options.int_tol)
     if presolved.infeasible:
         return MilpResult("infeasible", None, None, math.inf, math.inf, 0)
+    work = {"lp_solves": 0, "lp_pivots": 0, "factorizations": 0}
     problem, int_ids, solver = presolved.problem, presolved.int_ids, presolved.solver
 
     incumbent_x = None
@@ -482,14 +490,20 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
                     incumbent_x, incumbent_obj = full, check.objective
                 return
 
+    def counted(res):
+        work["lp_solves"] += 1
+        work["lp_pivots"] += res.iterations
+        work["factorizations"] += res.factorizations
+        return res
+
     def solve_node(node, lower, upper):
         """The node's LP: warm from its parent's basis, with the incumbent
         as cutoff; a cold retry when the warm start stalls."""
         cutoff = incumbent_obj - options.gap if incumbent_x is not None else None
-        res = solver.solve(warm_start=node.basis, lower=lower, upper=upper,
-                           cutoff=cutoff, deadline=deadline)
+        res = counted(solver.solve(warm_start=node.basis, lower=lower, upper=upper,
+                                   cutoff=cutoff, deadline=deadline))
         if res.status == "stalled":
-            res = solver.solve(lower=lower, upper=upper, deadline=deadline)
+            res = counted(solver.solve(lower=lower, upper=upper, deadline=deadline))
             if res.status == "stalled":
                 raise RuntimeError("LP relaxation stalled; model is numerically hostile")
         return res
@@ -526,6 +540,8 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         if np.any(lower > upper):
             continue
         res = solve_node(node, lower, upper)
+        if res.start_factors is not None and node.basis is not root_basis:
+            node.basis.binv = res.start_factors     # the sibling's start
         if res.status == "interrupted":
             push(node)              # back to the pool with its parent's bound
             nodes -= 1
@@ -551,9 +567,9 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         ceil_side = dict(node.overrides)
         ceil_side[branch_var] = (math.ceil(value), upper[branch_var])
 
-        # children keep the basis but not its factors: each node LP factors
-        # its start basis once.  On equal bounds the child on the side the
-        # value leans to is taken last.
+        # children share the basis but not its final factors: the first
+        # child's LP factors it for both.  On equal bounds the child on the
+        # side the value leans to is taken last.
         start = Basis(res.basis.basic, res.basis.status)
         prefer_ceil = value - math.floor(value) >= 0.5
         push(_Node(node_obj, seq, floor_side if prefer_ceil else ceil_side, start))
@@ -567,17 +583,19 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             log.info("nodes=%d best_bound=%.6f incumbent=%s gap=%s", nodes, bb, inc, gap)
 
     if saw_unbounded:
-        return MilpResult("unbounded", None, None, -math.inf, math.inf, nodes)
+        return MilpResult("unbounded", None, None, -math.inf, math.inf, nodes, **work)
 
     open_bound = open_best_bound()
     if incumbent_x is None:
         if limit_hit:
-            return MilpResult("unknown", None, None, open_bound, math.inf, nodes)
-        return MilpResult("infeasible", None, None, math.inf, math.inf, nodes)
+            return MilpResult("unknown", None, None, open_bound, math.inf, nodes,
+                              **work)
+        return MilpResult("infeasible", None, None, math.inf, math.inf, nodes, **work)
 
     best_bound = min(open_bound, incumbent_obj)
     gap = max(incumbent_obj - best_bound, 0.0)
     status = "optimal" if not limit_hit and gap <= options.gap else "feasible"
     if not heap:
         gap = min(gap, options.gap) if status == "optimal" else gap
-    return MilpResult(status, incumbent_x, incumbent_obj, best_bound, gap, nodes)
+    return MilpResult(status, incumbent_x, incumbent_obj, best_bound, gap, nodes,
+                      **work)

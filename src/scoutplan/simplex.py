@@ -32,13 +32,16 @@ at every pivot of either loop.  The basis is held as a sparse LU
 factorization (SuperLU, fixed COLAMD column order) of a start basis plus a
 product-form eta file, one eta per pivot (Forrest and Tomlin (1972), Math.
 Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).  It is
-refactorized once the eta file holds more nonzeros than L and U.  Before a
-cutoff, infeasible or optimal verdict, x_B and the duals are recomputed on
-the current factors, which are kept when the primal residual |Ax - b| and
-the basic reduced costs stay within RESIDUAL_PRIMAL and RESIDUAL_DUAL
-(relative to 1 + |b| and 1 + |c|), and refactorized otherwise; the verdict
-is then checked again on the recomputed values.  All tie-breaks take the
-lowest variable index, so identical inputs give identical bases.
+refactorized once the eta file holds more nonzeros than L and U.  A solve
+that factors its warm start basis reports the factorization as it stood
+before the first eta, so another solve from that basis can start on it.
+Before a cutoff, infeasible or optimal verdict, x_B and the duals are
+recomputed on the current factors, which are kept when the primal residual
+|Ax - b| and the basic reduced costs stay within RESIDUAL_PRIMAL and
+RESIDUAL_DUAL (relative to 1 + |b| and 1 + |c|), and refactorized
+otherwise; the verdict is then checked again on the recomputed values.
+All tie-breaks take the lowest variable index, so identical inputs give
+identical bases.
 
 LpSolver keeps the assembled matrices so branch-and-bound can re-solve the
 same problem under per-node bounds without rebuilding anything.
@@ -48,11 +51,12 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrsv
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import splu
 
 EPS_PIVOT = 1e-9            # steps below this count as degenerate
@@ -181,10 +185,13 @@ class _Factors:
 class Basis:
     """Warm-start handle: basic column ids, per-column status, optional factors.
 
-    binv holds the basis factorization of the solve that produced the handle
-    (or None); a warm start that carries it skips the initial factorization.
-    The name is kept from the dense inverse it replaced, because
-    perfbench/spans.py reads it to count warm starts that carry factors.
+    binv holds a factorization of this basis (or None): the final factors of
+    the solve that produced the handle, or, on a handle that branch and bound
+    shares between two children, the start factors the first child's solve
+    reports, so that the second skips its initial factorization.  A solve
+    never writes into the handle it starts from.  The name is kept from the
+    dense inverse it replaced, because perfbench/spans.py reads it to count
+    warm starts that carry factors.
     """
 
     basic: np.ndarray
@@ -197,13 +204,19 @@ class LpResult:
     """status is optimal, infeasible, unbounded, stalled (iteration limit),
     cutoff (the objective provably reaches the cutoff; objective holds the
     bound that showed it) or interrupted (the deadline passed).  iterations
-    counts dual and primal pivots alike."""
+    counts dual and primal pivots alike, factorizations the sparse LU
+    factorizations of a non-slack basis.  start_factors is the factorization
+    of the warm start basis as the solve made it, before any eta, or None
+    when the solve started from carried factors or the slack basis: another
+    solve from the same basis may carry it as Basis.binv."""
 
     status: str
     x: np.ndarray | None
     objective: float | None
     iterations: int
     basis: Basis | None
+    factorizations: int = 0
+    start_factors: _Factors | None = field(default=None, repr=False)
 
 
 def _initial_status(lower, upper):
@@ -234,10 +247,10 @@ class LpSolver:
         cols = sp.hstack([problem.rows.tocsc(), sp.eye(m, format="csc")],
                          format="csc")
         self.cols = cols
-        self.cols_t = cols.T.tocsr()
-        self.col_ptr = cols.indptr
-        self.col_idx = cols.indices
-        self.col_val = cols.data
+        cols_t = cols.T.tocsr()
+        # the arguments of the kernels behind cols @ x and cols.T @ y
+        self.col_arrays = (m, self.total, cols.indptr, cols.indices, cols.data)
+        self.row_arrays = (self.total, m, cols_t.indptr, cols_t.indices, cols_t.data)
         self.rhs = np.asarray(problem.rhs, dtype=float)
         self.constant = problem.constant
 
@@ -296,26 +309,28 @@ def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
     when the slope stays above EPS_FEAS past every breakpoint: the row cannot
     be made feasible.
     """
+    if not len(slope_dir):
+        return None
     magnitude = np.abs(slope_dir)
     ratio = np.maximum(reduced / -slope_dir, 0.0)
     relaxed = ratio if bland else ratio + EPS_COST / magnitude
-    remaining = np.ones(len(ratio), dtype=bool)
-    passed = []
-    while remaining.any():
-        group = remaining & (ratio <= relaxed[remaining].min())
-        remaining &= ~group
-        members = np.flatnonzero(group)
-        after = slope - magnitude[members] @ span[members]
-        if after >= 0 and remaining.any():
+    taken = ratio <= relaxed.min()
+    members, passed = taken.nonzero()[0], []
+    while True:
+        size = magnitude[members]
+        after = slope - size @ span[members]
+        if after >= 0 and not taken.all():      # pass the group: it flips
             passed.append(members)
             slope = after
+            rest = (~taken).nonzero()[0]
+            members = rest[ratio[rest] <= relaxed[rest].min()]
+            taken[members] = True
             continue
         if after > EPS_FEAS:
             return None
-        pick = int(members[0] if bland else members[np.argmax(magnitude[members])])
+        pick = int(members[0] if bland else members[size.argmax()])
         flips = np.concatenate(passed) if passed else members[:0]
         return pick, flips, float(ratio[pick])
-    return None
 
 
 class _Run:
@@ -326,10 +341,11 @@ class _Run:
         self.m, self.n, self.total = ctx.m, ctx.n, ctx.total
         self.cost = ctx.cost            # a shifted copy while shifts are in effect
         self.cols = ctx.cols
-        self.cols_t = ctx.cols_t
         self.rhs = ctx.rhs
         self.lower = lower
         self.upper = upper
+        self.factorizations = 0         # LU factorizations of a non-slack basis
+        self.start_factors = None       # the warm start basis's, before any eta
 
         self.basis = None
         if (
@@ -344,8 +360,10 @@ class _Run:
                 self.basis, self.status = basic, status
                 self.factors = warm_start.binv.copy()
             else:
+                self.factorizations += 1
                 try:
-                    self.factors = _Factors(self.cols, basic)
+                    self.start_factors = _Factors(self.cols, basic)
+                    self.factors = self.start_factors.copy()
                     self.basis, self.status = basic, status
                 except RuntimeError:
                     self.basis = None
@@ -357,14 +375,9 @@ class _Run:
         self.weights = np.ones(self.total)
 
     def _slack_restart(self, status=None):
-        if status is None:
-            status = self.status
-            basic_mask = status == BASIC
-            lo_ok = np.isfinite(self.lower)
-            hi_ok = np.isfinite(self.upper)
-            status[basic_mask & lo_ok] = NB_LOWER
-            status[basic_mask & ~lo_ok & hi_ok] = NB_UPPER
-            status[basic_mask & ~lo_ok & ~hi_ok] = NB_FREE
+        if status is None:      # the basic columns leave at their initial status
+            status = np.where(self.status == BASIC,
+                              _initial_status(self.lower, self.upper), self.status)
         self.basis = np.arange(self.n, self.n + self.m)
         status[self.basis] = BASIC
         self.status = status
@@ -372,14 +385,34 @@ class _Run:
         self.weights = np.ones(self.total)
         self.reduced = None
 
+    def _cols_times(self, x):
+        """cols @ x, by the kernel that the operator dispatches to."""
+        y = np.zeros(self.m)
+        csc_matvec(*self.ctx.col_arrays, x, y)
+        return y
+
+    def _times_cols(self, y):
+        """cols.T @ y, likewise."""
+        out = np.zeros(self.total)
+        csr_matvec(*self.ctx.row_arrays, y, out)
+        return out
+
+    def _ftran_column(self, j):
+        """B⁻¹ a_j."""
+        _, _, ptr, idx, val = self.ctx.col_arrays
+        a_j = np.zeros(self.m)
+        a_j[idx[ptr[j]:ptr[j + 1]]] = val[ptr[j]:ptr[j + 1]]
+        return self.factors.ftran(a_j)
+
     def _recompute_x(self):
         x = np.where(self.status == NB_UPPER, self.upper, self.lower)
         x[self.status == NB_FREE] = 0.0
         x[self.basis] = 0.0
-        x[self.basis] = self.factors.ftran(self.rhs - self.cols @ x)
+        x[self.basis] = self.factors.ftran(self.rhs - self._cols_times(x))
         return x
 
     def _refactorize(self):
+        self.factorizations += 1
         try:
             self.factors = _Factors(self.cols, self.basis)
         except RuntimeError:
@@ -387,14 +420,10 @@ class _Run:
         self.x = self._recompute_x()
         self.reduced = None
 
-    def column(self, j):
-        lo, hi = self.ctx.col_ptr[j], self.ctx.col_ptr[j + 1]
-        return self.ctx.col_idx[lo:hi], self.ctx.col_val[lo:hi]
-
     def _price(self):
         """Reduced costs from a fresh BTRAN of the basic costs."""
         y = self.factors.btran(self.cost[self.basis])
-        self.reduced = self.cost - self.cols_t @ y
+        self.reduced = self.cost - self._times_cols(y)
 
     def _confirm(self):
         """Recompute x_B and the reduced costs on the current factors, and
@@ -403,36 +432,39 @@ class _Run:
         self._price()
         if self.factors.k == 0:
             return                  # a fresh factorization is as good as it gets
-        primal = np.abs(self.cols @ self.x - self.rhs).max()
+        primal = np.abs(self._cols_times(self.x) - self.rhs).max()
         dual = np.abs(self.reduced[self.basis]).max()
         if (primal > RESIDUAL_PRIMAL * (1.0 + np.abs(self.rhs).max())
                 or dual > RESIDUAL_DUAL * (1.0 + np.abs(self.cost).max())):
             self._refactorize()
             self._price()
 
-    def _sides(self):
-        """Nonbasic columns whose reduced cost dual feasibility keeps
+    def _sides(self, movable):
+        """Movable nonbasic columns whose reduced cost dual feasibility keeps
         non-negative (at lower, or free) and non-positive (at upper, or free)."""
         free = self.status == NB_FREE
-        return (self.status == NB_LOWER) | free, (self.status == NB_UPPER) | free
+        return (movable & ((self.status == NB_LOWER) | free),
+                movable & ((self.status == NB_UPPER) | free))
 
     def _flip(self, flips):
-        """Move the nonbasic columns flips to their other bound."""
+        """Move the boxed nonbasic columns flips to their other bound."""
         to_upper = self.status[flips] == NB_LOWER
         target = np.where(to_upper, self.upper[flips], self.lower[flips])
         change = np.zeros(self.total)
         change[flips] = target - self.x[flips]
         self.x[flips] = target
         self.status[flips] = np.where(to_upper, NB_UPPER, NB_LOWER)
-        self.x[self.basis] -= self.factors.ftran(self.cols @ change)
+        self.lo_ok[flips], self.hi_ok[flips] = self.hi_ok[flips], self.lo_ok[flips]
+        self.x[self.basis] -= self.factors.ftran(self._cols_times(change))
 
     def _make_dual_feasible(self, movable):
         """Flip each boxed column whose reduced cost has the wrong sign beyond
         EPS_COST to its other bound, and shift the cost of every other such
-        column so that its reduced cost is zero."""
+        column so that its reduced cost is zero.  Sets the masks lo_ok and
+        hi_ok of _sides, which the dual keeps current from here on."""
         d = self.reduced
-        lo_side, hi_side = self._sides()
-        wrong = movable & ((lo_side & (d < -EPS_COST)) | (hi_side & (d > EPS_COST)))
+        self.lo_ok, self.hi_ok = self._sides(movable)
+        wrong = (self.lo_ok & (d < -EPS_COST)) | (self.hi_ok & (d > EPS_COST))
         if not wrong.any():
             return
         boxed = (np.isfinite(self.lower) & np.isfinite(self.upper)
@@ -486,40 +518,41 @@ class _Run:
                 objective = float(self.cost @ self.x) + self.ctx.constant
                 if objective >= cutoff:
                     if trusted:
-                        return LpResult("cutoff", None, objective, iterations,
-                                        Basis(self.basis, self.status)), iterations
+                        return self._result("cutoff", iterations, objective), iterations
                     self._confirm()
                     self._make_dual_feasible(movable)
                     checked = True
                     continue
 
-            xb = self.x[self.basis]
-            lb_b, ub_b = self.lower[self.basis], self.upper[self.basis]
+            basis = self.basis
+            xb = self.x[basis]
+            lb_b, ub_b = self.lower[basis], self.upper[basis]
             excess = np.maximum(lb_b - xb, xb - ub_b)
-            infeasible_rows = excess > EPS_FEAS
-            if not infeasible_rows.any():
-                return None, iterations
-            if degenerate_run >= _BLAND_AFTER:
-                rows = np.flatnonzero(infeasible_rows)
-                r = int(rows[np.argmin(self.basis[rows])])
+            bland = degenerate_run >= _BLAND_AFTER
+            if bland:
+                rows = (excess > EPS_FEAS).nonzero()[0]
+                if not rows.size:
+                    return None, iterations
+                r = int(rows[basis[rows].argmin()])
             else:
-                r = int(np.argmax(np.where(infeasible_rows,
-                                           excess * excess / weights, -1.0)))
-            leaving = int(self.basis[r])
+                r = int(np.where(excess > EPS_FEAS, excess * excess / weights,
+                                 -1.0).argmax())
+                if not excess[r] > EPS_FEAS:
+                    return None, iterations     # no row is infeasible
+            leaving = int(basis[r])
             sigma = 1.0 if xb[r] < lb_b[r] else -1.0    # +1: leaves at its lower
 
             # row r of B⁻¹A; moving the duals by step s changes d by s·sigma·alpha
             unit[r] = 1.0
-            alpha = self.cols_t @ self.factors.btran(unit)
+            alpha = self._times_cols(self.factors.btran(unit))
             unit[r] = 0.0
-            slope_dir = sigma * alpha
-            lo_side, hi_side = self._sides()
-            blocking = movable & ((lo_side & (slope_dir < -_MIN_PIVOT))
-                                  | (hi_side & (slope_dir > _MIN_PIVOT)))
-            cand = np.flatnonzero(blocking)
-            found = _dual_ratio_test(slope_dir[cand], self.reduced[cand],
-                                     span[cand], excess[r],
-                                     degenerate_run >= _BLAND_AFTER)
+            # the columns whose reduced cost sigma·alpha moves towards zero
+            on_neg, on_pos = ((self.lo_ok, self.hi_ok) if sigma > 0
+                              else (self.hi_ok, self.lo_ok))
+            cand = ((on_neg & (alpha < -_MIN_PIVOT))
+                    | (on_pos & (alpha > _MIN_PIVOT))).nonzero()[0]
+            found = _dual_ratio_test(sigma * alpha[cand], self.reduced[cand],
+                                     span[cand], excess[r], bland)
             if found is None:
                 if trusted:
                     return self._result("infeasible", iterations), iterations
@@ -530,11 +563,8 @@ class _Run:
             pick, flips, step = found
             entering = int(cand[pick])
 
-            rows_e, vals_e = self.column(entering)
-            a_q = np.zeros(self.m)
-            a_q[rows_e] = vals_e
-            w = self.factors.ftran(a_q)
-            pivot = w[r]
+            w = self._ftran_column(entering)
+            pivot = float(w[r])
             if (abs(pivot - alpha[entering]) > 1e-7 * (1.0 + abs(pivot))
                     and self.factors.k):
                 self._refactorize()     # the row and the column disagree
@@ -543,20 +573,23 @@ class _Run:
             if flips.size:
                 self._flip(cand[flips])
 
-            bound = lb_b[r] if sigma > 0 else ub_b[r]
-            theta = (self.x[leaving] - bound) / pivot
-            self.x[self.basis] -= theta * w
+            bound = float(lb_b[r] if sigma > 0 else ub_b[r])
+            theta = (float(self.x[leaving]) - bound) / pivot
+            self.x[basis] -= theta * w
             self.x[entering] += theta
             self.x[leaving] = bound
             self.status[leaving] = NB_LOWER if sigma > 0 else NB_UPPER
             self.status[entering] = BASIC
-            self.basis[r] = entering
+            basis[r] = entering
+            self.lo_ok[entering] = self.hi_ok[entering] = False
+            self.lo_ok[leaving] = sigma > 0 and movable[leaving]
+            self.hi_ok[leaving] = sigma < 0 and movable[leaving]
 
             self.reduced += (sigma * step) * alpha
-            self.reduced[self.basis] = 0.0
+            self.reduced[basis] = 0.0
             self.reduced[leaving] = sigma * step
 
-            gamma = weights[r]
+            gamma = float(weights[r])
             np.maximum(weights, np.square(w / pivot) * gamma, out=weights)
             weights[r] = max(gamma / (pivot * pivot), 1.0)
             if weights.max() > 1e8:
@@ -577,6 +610,7 @@ class _Run:
         degenerate_run = 0
         confirmed = False       # a terminal check already recomputed x and d and
                                 # only noise-level steps happened since
+        fresh = False           # x recomputed by that check, and no step since
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 return self._result("interrupted", iterations), iterations
@@ -591,9 +625,9 @@ class _Run:
                 self._price()
 
             reduced = self.reduced
-            lo_side, hi_side = self._sides()
-            eligible_up = movable & lo_side & (reduced < -EPS_COST)
-            candidates = eligible_up | (movable & hi_side & (reduced > EPS_COST))
+            lo_ok, hi_ok = self._sides(movable)
+            eligible_up = lo_ok & (reduced < -EPS_COST)
+            candidates = eligible_up | (hi_ok & (reduced > EPS_COST))
 
             if not candidates.any():
                 if self.factors.k > 0 and not confirmed:
@@ -601,9 +635,10 @@ class _Run:
                     # noise, the verdict is accepted next time instead of
                     # livelocking
                     self._confirm()
-                    confirmed = True
+                    confirmed = fresh = True
                     continue
-                return self._result("optimal", iterations), iterations
+                x = self.x if fresh else None
+                return self._result("optimal", iterations, x=x), iterations
 
             if degenerate_run >= _BLAND_AFTER:
                 entering = int(np.flatnonzero(candidates)[0])
@@ -612,10 +647,7 @@ class _Run:
                 entering = int(np.argmax(score))
             sigma = 1.0 if eligible_up[entering] else -1.0
 
-            rows_e, vals_e = self.column(entering)
-            a_q = np.zeros(self.m)
-            a_q[rows_e] = vals_e
-            w = self.factors.ftran(a_q)
+            w = self._ftran_column(entering)
             move = -sigma * w
 
             # two-pass (Harris) ratio test over the basics that move
@@ -629,9 +661,10 @@ class _Run:
             room = float(relaxed.min()) if idx.size else np.inf
 
             if np.isinf(room) and np.isinf(own_range):
-                return LpResult("unbounded", None, None, iterations, None), iterations
+                return self._result("unbounded", iterations), iterations
 
             iterations += 1
+            fresh = False
             if own_range <= room:
                 step = own_range
                 degenerate_run = degenerate_run + 1 if step <= EPS_PIVOT else 0
@@ -667,7 +700,7 @@ class _Run:
             # row r of the new inverse is that of the old over the pivot
             unit = np.zeros(self.m)
             unit[leave_pos] = 1.0 / pivot
-            alpha = self.cols_t @ self.factors.btran(unit)
+            alpha = self._times_cols(self.factors.btran(unit))
             d_q = self.reduced[entering]
             self.reduced -= d_q * alpha
             self.reduced[entering] = 0.0
@@ -681,11 +714,16 @@ class _Run:
             if self.factors.update(leave_pos, w):
                 self._refactorize()
 
-    def _result(self, status, iterations) -> LpResult:
+    def _result(self, status, iterations, objective=None, x=None) -> LpResult:
+        """The result of a verdict; an optimal one takes x when given (it must
+        equal a fresh recomputation) and recomputes it otherwise."""
         factors = self.factors if status in ("optimal", "infeasible") else None
-        basis = Basis(self.basis, self.status, factors)
-        if status != "optimal":
-            return LpResult(status, None, None, iterations, basis)
-        x = self._recompute_x()
-        obj = float(self.cost @ x) + self.ctx.constant
-        return LpResult(status, x[: self.n].copy(), obj, iterations, basis)
+        basis = (None if status == "unbounded"
+                 else Basis(self.basis, self.status, factors))
+        if status == "optimal":
+            if x is None:
+                x = self._recompute_x()
+            objective = float(self.cost @ x) + self.ctx.constant
+            x = x[: self.n].copy()
+        return LpResult(status, x, objective, iterations, basis,
+                        self.factorizations, self.start_factors)

@@ -149,6 +149,13 @@ class TestDeterminism:
         assert a.nodes == b.nodes
         assert np.array_equal(a.x, b.x)
 
+    def test_work_counters_repeat_exactly(self):
+        runs = [solve_milp(build_model(random_scaling_scenario(0, 5, 7, 5, 3))[0])
+                for _ in range(2)]
+        a, b = ((r.nodes, r.lp_solves, r.lp_pivots, r.factorizations) for r in runs)
+        assert a == b
+        assert runs[0].lp_pivots > 0 and runs[0].factorizations > 0
+
 
 class TestBranchingVariable:
     def test_ties_within_int_tol_go_to_the_lowest_id(self):
@@ -534,11 +541,13 @@ class TestSearchCost:
         solve = LpSolver.solve
 
         def counted(self, *args, **kwargs):
-            calls.append(1)
-            return solve(self, *args, **kwargs)
+            calls.append(solve(self, *args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(LpSolver, "solve", counted)
         model, _ = build_model(random_scaling_scenario(seed, 5, 7, 5, 3))
         res = solve_milp(model)
         assert res.status == "optimal"
-        assert len(calls) == res.nodes
+        assert len(calls) == res.nodes == res.lp_solves
+        assert res.lp_pivots == sum(lp.iterations for lp in calls)
+        assert res.factorizations == sum(lp.factorizations for lp in calls)

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from scoutplan import simplex
@@ -289,18 +289,29 @@ def random_general_lp(seed):
 
 
 def highs(prob, lower, upper):
-    """(status, objective) of scipy's HiGHS on prob under the given bounds."""
+    """(status, objective) of scipy's HiGHS on prob under the given bounds.
+
+    HiGHS gives status 2 both for infeasible LPs and for some feasible
+    unbounded ones, so a status 2 is settled by solving again with zero
+    costs: the LP is unbounded exactly when that one is feasible.
+    """
     A = prob.rows.toarray()
     ub_rows = [(A[i], prob.rhs[i]) if s == "L" else (-A[i], -prob.rhs[i])
                for i, s in enumerate(prob.senses) if s != "E"]
     eq = prob.senses == "E"
-    ref = linprog(prob.objective,
-                  A_ub=np.array([r for r, _ in ub_rows]) if ub_rows else None,
-                  b_ub=np.array([b for _, b in ub_rows]) if ub_rows else None,
-                  A_eq=A[eq] if eq.any() else None,
-                  b_eq=prob.rhs[eq] if eq.any() else None,
-                  bounds=list(zip(lower, upper)), method="highs")
+
+    def run(costs):
+        return linprog(costs,
+                       A_ub=np.array([r for r, _ in ub_rows]) if ub_rows else None,
+                       b_ub=np.array([b for _, b in ub_rows]) if ub_rows else None,
+                       A_eq=A[eq] if eq.any() else None,
+                       b_eq=prob.rhs[eq] if eq.any() else None,
+                       bounds=list(zip(lower, upper)), method="highs")
+
+    ref = run(prob.objective)
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if ref.status == 2 and run(np.zeros(len(prob.objective))).status == 0:
+        status = "unbounded"
     return status, (ref.fun + prob.constant if ref.status == 0 else None)
 
 
@@ -437,11 +448,12 @@ def assert_rows_hold(prob, x, tol=1e-6):
 
 
 class TestColdStart:
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", [*range(60), 1572])
     def test_shifted_costs_give_the_highs_verdict(self, seed):
-        # 51 of these start with a column unboxed on the side its cost
+        # 51 of seeds 0-59 start with a column unboxed on the side its cost
         # favours, which the dual can only start from with a cost shift:
-        # 15 optimal, 22 infeasible and 14 unbounded
+        # 15 optimal, 22 infeasible and 14 unbounded.  Seed 1572 is feasible
+        # and unbounded, and HiGHS reports it with its infeasible status.
         prob = random_general_lp(seed)
         res = LpSolver(prob).solve()
         status, objective = highs(prob, prob.lower, prob.upper)
@@ -483,3 +495,153 @@ class TestResidualConfirm:
         if status == "optimal":
             assert res.objective == pytest.approx(objective, abs=1e-6)
             assert_rows_hold(prob, res.x)
+
+
+def sibling_bounds(prob, base):
+    """The floor and ceil children's bounds on the first fractional basic
+    binary-like column of base."""
+    j = next(j for j in base.basis.basic if j < len(prob.upper)
+             and prob.upper[j] == 1.0 and abs(base.x[j] - round(base.x[j])) > 1e-3)
+    floor_hi, ceil_lo = prob.upper.copy(), prob.lower.copy()
+    floor_hi[j], ceil_lo[j] = np.floor(base.x[j]), np.ceil(base.x[j])
+    return [(prob.lower, floor_hi), (ceil_lo, prob.upper)]
+
+
+def assert_same_solve(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.objective == b.objective
+    assert (a.x is None) == (b.x is None)
+    if a.x is not None:
+        assert a.x.tobytes() == b.x.tobytes()
+    assert a.basis.basic.tobytes() == b.basis.basic.tobytes()
+    assert a.basis.status.tobytes() == b.basis.status.tobytes()
+
+
+class TestSharedStartFactors:
+    @pytest.mark.parametrize("ceil_first", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sibling_on_the_shared_factors_solves_bit_identically(
+            self, seed, ceil_first, monkeypatch):
+        prob = random_boxed_lp(seed)
+        base = LpSolver(prob).solve()
+        children = sibling_bounds(prob, base)[::-1 if ceil_first else 1]
+        solver = LpSolver(prob)
+        fresh = [solver.solve(warm_start=Basis(base.basis.basic, base.basis.status),
+                              lower=lo, upper=hi) for lo, hi in children]
+
+        shared = Basis(base.basis.basic.copy(), base.basis.status.copy())
+        first = solver.solve(warm_start=shared, lower=children[0][0],
+                             upper=children[0][1])
+        assert shared.binv is None and first.factorizations >= 1
+        assert first.start_factors is not None and first.start_factors.k == 0
+        shared.binv = first.start_factors
+        built = []
+        init = _Factors.__init__
+
+        def counted(factors, cols, basic):
+            built.append(basic)
+            init(factors, cols, basic)
+
+        monkeypatch.setattr(_Factors, "__init__", counted)
+        second = solver.solve(warm_start=shared, lower=children[1][0],
+                              upper=children[1][1])
+        # no factorization of the start basis; a refactorization later in
+        # the solve is counted like any other
+        assert not any(np.array_equal(basic, shared.basic) for basic in built)
+        assert second.factorizations == len(built)
+        assert second.start_factors is None
+        for res, ref in zip((first, second), fresh):
+            assert_same_solve(res, ref)
+        assert second.factorizations == fresh[1].factorizations - 1
+        # the handle is left as it was given
+        assert shared.binv is first.start_factors and shared.binv.k == 0
+        assert np.array_equal(shared.basic, base.basis.basic)
+        assert np.array_equal(shared.status, base.basis.status)
+
+
+class TestBlockingMasks:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kept_masks_equal_fresh_ones_at_every_ratio_test(self, seed, monkeypatch):
+        runs, checks = [], []
+        dual, ratio_test = simplex._Run._dual, simplex._dual_ratio_test
+
+        def tracked(run, *args, **kwargs):
+            runs.append(run)
+            try:
+                return dual(run, *args, **kwargs)
+            finally:
+                runs.pop()
+
+        def checked(*args):
+            run = runs[-1]
+            lo_ok, hi_ok = run._sides((run.upper - run.lower) > simplex.EPS_PIVOT)
+            assert np.array_equal(run.lo_ok, lo_ok) and np.array_equal(run.hi_ok, hi_ok)
+            checks.append(1)
+            return ratio_test(*args)
+
+        monkeypatch.setattr(simplex._Run, "_dual", tracked)
+        monkeypatch.setattr(simplex, "_dual_ratio_test", checked)
+        prob = random_boxed_lp(seed, m=30, n=60)
+        base = LpSolver(prob).solve()
+        lower, upper = branched(prob, base, np.random.default_rng(seed))
+        LpSolver(prob).solve(warm_start=base.basis, lower=lower, upper=upper)
+        LpSolver(random_general_lp(seed)).solve()
+        assert len(checks) > 20
+
+
+def ratio_test_by_groups(slope_dir, reduced, span, slope, bland):
+    """The reference for _dual_ratio_test: every Harris group taken in a
+    loop that keeps a mask of the breakpoints not yet passed."""
+    magnitude = np.abs(slope_dir)
+    ratio = np.maximum(reduced / -slope_dir, 0.0)
+    relaxed = ratio if bland else ratio + simplex.EPS_COST / magnitude
+    remaining = np.ones(len(ratio), dtype=bool)
+    passed = []
+    while remaining.any():
+        group = remaining & (ratio <= relaxed[remaining].min())
+        remaining &= ~group
+        members = np.flatnonzero(group)
+        after = slope - magnitude[members] @ span[members]
+        if after >= 0 and remaining.any():
+            passed.append(members)
+            slope = after
+            continue
+        if after > simplex.EPS_FEAS:
+            return None
+        pick = int(members[0] if bland else members[np.argmax(magnitude[members])])
+        flips = np.concatenate(passed) if passed else members[:0]
+        return pick, flips, float(ratio[pick])
+    return None
+
+
+# breakpoints from small sets, so that ratios tie exactly or within the
+# Harris tolerance, and spans and slopes that pass several groups
+_breakpoints = st.lists(st.tuples(
+    st.sampled_from([-3.0, -1.0, -0.5, -1e-6, 1e-6, 0.5, 2.0]),    # slope_dir
+    st.sampled_from([0.0, 1e-10, 0.5, 1.0, 1.0 + 1e-10, 2.0, -1e-12]),  # ratio
+    st.sampled_from([0.0, 0.25, 1.0, 3.0, np.inf])), max_size=12)        # span
+
+
+class TestDualRatioTest:
+    @given(_breakpoints, st.sampled_from([0.0, 1e-7, 0.3, 1.0, 2.5, 10.0, 1e3]),
+           st.booleans())
+    @settings(max_examples=400, deadline=None)
+    @example([], 1.0, False)                            # no candidate
+    @example([(-1.0, 1.0, 1.0)], 5.0, False)            # cannot be made feasible
+    @example([(-1.0, 1.0, 1.0), (-1.0, 2.0, 1.0), (-1.0, 3.0, 1.0),
+              (-1.0, 4.0, 1.0)], 2.5, False)            # two flip passes
+    @example([(-1.0, 1.0, 1.0), (-2.0, 1.0, 1.0), (0.5, 1.0 + 1e-10, 1.0),
+              (-3.0, 2.0, 1.0)], 0.5, True)             # ties, Bland
+    def test_matches_the_group_loop(self, points, slope, bland):
+        slope_dir = np.array([p[0] for p in points])
+        reduced = np.array([-p[0] * p[1] for p in points])
+        span = np.array([p[2] for p in points])
+        got = simplex._dual_ratio_test(slope_dir, reduced, span, slope, bland)
+        want = ratio_test_by_groups(slope_dir, reduced, span, slope, bland)
+        if want is None:
+            assert got is None
+            return
+        (pick, flips, step), (ref_pick, ref_flips, ref_step) = got, want
+        assert pick == ref_pick
+        assert step == ref_step
+        assert flips.tolist() == ref_flips.tolist()
