@@ -10,31 +10,36 @@ column from its kept partner.  The search runs over the remaining columns
 and expands every point back to the full model before it is evaluated or
 returned.
 
-presolve_model keeps the result on the model, so the planner and the
-search share one presolve, and one LP solver built on it, per model and
-integrality tolerance.
+solve_milp owns the search from the root down: it presolves the model once,
+builds one LP solver on the result and solves the root relaxation, cold, as
+the first node of its loop.  Every candidate incumbent passes one gate,
+which re-checks it against the model and takes it only when it beats the
+incumbent by more than 1e-12: first the caller's seeds, in order, then the
+caller's rounding of the root LP's point, then the integral points of node
+relaxations.  Ties therefore go to the candidate offered first, and a
+returned solution is always feasible and integral regardless of LP
+tolerances.
 
-Each node costs one LP solve, and a cold retry when its warm start stalls.
-A node keeps only its parent's optimal basis (basic columns and statuses),
-never the parent's final factors.  The two children of a node share that
-basis: the first child's LP factors it, and the factorization it reports,
-taken before its first pivot, is attached to the shared basis, so the
-second child starts without factoring.  Under best-bound selection the
+Each node costs one LP solve, and a cold retry when it stalls.  Below the
+root, a node keeps only its parent's optimal basis (basic columns and
+statuses), never the parent's final factors.  The two children of a node
+share that basis: the first child's LP factors it, and the factorization it
+reports, taken before its first pivot, is attached to the shared basis, so
+the second child starts without factoring.  Under best-bound selection the
 second child is normally taken right after the first, so the extra factors
 live for about one node.  The basis is dual feasible under the child's
-tightened bounds, so the node LP runs the dual simplex with the incumbent
-minus the gap as its cutoff: a node that cannot beat the incumbent is
-fathomed as soon as the dual objective shows it, before its LP is solved to
-optimality.  With a time_limit the deadline reaches into each LP solve, and
-a node whose LP it interrupts goes back to the pool with its parent's bound.
-Branching forbids the fractional value on both children via floor/ceil
-bound tightening.  Nodes are selected best-bound first, ties in creation
-order; branching picks the most fractional integer variable, where
-fractionalities within the integrality tolerance of the best tie and the
-lowest id among them wins.  Incumbents come from the caller's seed and from
-nodes whose relaxation is integral.  Every incumbent is re-checked against
-the model before acceptance, so a returned solution is always feasible and
-integral regardless of LP tolerances.
+tightened bounds, so the node LP, like the cold root's, runs the dual
+simplex with the incumbent minus the gap as its cutoff: a node that cannot
+beat the incumbent is fathomed as soon as the dual objective shows it,
+before its LP is solved to optimality.  With a time_limit the deadline
+reaches into each LP solve, and a node whose LP it interrupts goes back to
+the pool with its parent's bound.  Branching forbids the fractional value on
+both children via floor/ceil bound tightening.  Nodes are selected
+best-bound first, ties in creation order; branching picks the most
+fractional integer variable, where fractionalities within the integrality
+tolerance of the best tie and the lowest id among them wins.  With the
+logging level of scoutplan.branch_bound at DEBUG, each branched node logs
+the node count, best bound, incumbent and gap.
 
 The node pool could be served to concurrent workers as long as incumbent and
 bound updates stay atomic; this implementation processes nodes in a single
@@ -48,7 +53,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,14 +65,12 @@ log = logging.getLogger("scoutplan.branch_bound")
 @dataclass(frozen=True)
 class SolveOptions:
     gap: float = 1e-6                   # absolute optimality gap
-    int_tol: float = 1e-6
     node_limit: int | None = None
     time_limit: float | None = None     # seconds
-    log_every: int = 0                  # emit a log line every N nodes (0 = off)
 
     def __post_init__(self):
-        if self.gap <= 0 or self.int_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.gap <= 0:
+            raise ValueError("gap must be positive")
 
 
 @dataclass
@@ -132,11 +134,6 @@ class Presolved:
         full = self.values + self.aggregated @ x
         full[self.columns] = x
         return full
-
-    @cached_property
-    def solver(self) -> LpSolver:
-        """The LP solver of problem, built on first use and then shared."""
-        return LpSolver(self.problem)
 
 
 def _merge_entries(row_of, col_of, coef, n):
@@ -206,7 +203,7 @@ def _pick_doubletons(row_of, col_of, coef, doubleton, row_lo, lower, upper,
     return rows[picked], j[picked], k[picked], rho[picked], beta[picked]
 
 
-def presolve(problem: LpProblem, int_ids, int_tol: float = milp.INT_TOL) -> Presolved:
+def presolve(problem: LpProblem, int_ids) -> Presolved:
     """Shrink the relaxation by the standard MIP presolve reductions.
 
     Repeats until nothing changes: (a) tighten column bounds from each row's
@@ -292,8 +289,8 @@ def presolve(problem: LpProblem, int_ids, int_tol: float = milp.INT_TOL) -> Pres
         np.maximum.at(new_lower, col_of[from_hi & ~pos], by_hi[from_hi & ~pos])
         np.maximum.at(new_lower, col_of[from_lo & pos], by_lo[from_lo & pos])
         np.minimum.at(new_upper, col_of[from_lo & ~pos], by_lo[from_lo & ~pos])
-        new_lower[integer] = np.ceil(new_lower[integer] - int_tol)
-        new_upper[integer] = np.floor(new_upper[integer] + int_tol)
+        new_lower[integer] = np.ceil(new_lower[integer] - milp.INT_TOL)
+        new_upper[integer] = np.floor(new_upper[integer] + milp.INT_TOL)
         # continuous bounds move only by a real step, so the rounds terminate
         width = upper - lower
         step = np.where(integer | ~np.isfinite(width), 0.0,
@@ -335,8 +332,8 @@ def presolve(problem: LpProblem, int_ids, int_tol: float = milp.INT_TOL) -> Pres
             lo_k = (np.where(rho > 0, lower[j], upper[j]) - beta) / rho
             hi_k = (np.where(rho > 0, upper[j], lower[j]) - beta) / rho
             whole = integer[k]
-            lo_k[whole] = np.ceil(lo_k[whole] - int_tol)
-            hi_k[whole] = np.floor(hi_k[whole] + int_tol)
+            lo_k[whole] = np.ceil(lo_k[whole] - milp.INT_TOL)
+            hi_k[whole] = np.floor(hi_k[whole] + milp.INT_TOL)
             lower[k] = np.maximum(lower[k], lo_k)
             upper[k] = np.minimum(upper[k], hi_k)
             if np.any((lower[k] > upper[k])
@@ -403,20 +400,6 @@ def presolve(problem: LpProblem, int_ids, int_tol: float = milp.INT_TOL) -> Pres
                      values, aggregated)
 
 
-def presolve_model(model: milp.Model, int_tol: float = milp.INT_TOL) -> Presolved:
-    """presolve(*model_to_lp(model)), computed once per lowering and int_tol.
-
-    The result is kept on the model and shared by every caller, so treat it
-    as read-only; a model that is lowered again is presolved again.
-    """
-    arrays = milp.model_arrays(model)
-    kept = model._derived.get(("presolve", int_tol))
-    if kept is None or kept[0] is not arrays:
-        kept = (arrays, presolve(*model_to_lp(model), int_tol=int_tol))
-        model._derived["presolve", int_tol] = kept
-    return kept[1]
-
-
 @dataclass
 class _Node:
     bound: float
@@ -443,23 +426,27 @@ def _branching_variable(x, int_ids, tol):
 
 
 def solve_milp(model: milp.Model, options: SolveOptions | None = None,
-               initial_incumbent=None, root_basis: Basis | None = None) -> MilpResult:
+               seeds=(), round_root=None) -> MilpResult:
     """Minimize the model exactly (to the gap tolerance) by branch and bound.
 
-    initial_incumbent seeds the search with a known assignment in any form
-    milp.evaluate reads (it is re-checked against the model before use);
-    root_basis warm-starts the root relaxation of the presolved problem.  The
-    search runs over the presolved columns; every point is expanded to the
-    full space before it is evaluated or returned.
+    seeds are known assignments, in any form milp.evaluate reads, offered as
+    incumbents in order before the first node.  round_root, when given, is
+    called once with the full-space point of the root LP, only when that LP
+    is optimal, and the assignment it returns is offered next.  Every
+    candidate is re-checked against the model and taken only when it beats
+    the incumbent by more than 1e-12, so ties go to the first one offered.
+    The search runs over the presolved columns; every point is expanded to
+    the full space before it is evaluated or returned.
     """
     options = options or SolveOptions()
     deadline = (None if options.time_limit is None
                 else time.monotonic() + options.time_limit)
-    presolved = presolve_model(model, options.int_tol)
+    presolved = presolve(*model_to_lp(model))
     if presolved.infeasible:
         return MilpResult("infeasible", None, None, math.inf, math.inf, 0)
     work = {"lp_solves": 0, "lp_pivots": 0, "factorizations": 0}
-    problem, int_ids, solver = presolved.problem, presolved.int_ids, presolved.solver
+    problem, int_ids = presolved.problem, presolved.int_ids
+    solver = LpSolver(problem)
 
     incumbent_x = None
     incumbent_obj = math.inf
@@ -473,21 +460,27 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     def open_best_bound() -> float:
         return heap[0][1].bound if heap else math.inf
 
-    def try_incumbent(x, obj):
-        """Offer a reduced-space point: its integers snapped, else as is.
-        The first candidate the model finds feasible is taken if it improves."""
+    def offer(full) -> bool:
+        """The incumbent gate: take a full-space assignment when the model
+        finds it feasible and it beats the incumbent by more than 1e-12.
+        Returns whether it was feasible."""
         nonlocal incumbent_x, incumbent_obj
+        check = milp.evaluate(model, full)
+        if check.feasible and check.objective < incumbent_obj - 1e-12:
+            incumbent_x = milp.assignment_vector(model, full)
+            incumbent_obj = check.objective
+        return check.feasible
+
+    def try_incumbent(x, obj):
+        """Offer a reduced-space point to the gate: its integers snapped
+        first, the point as is only when the snapped one is infeasible."""
         if obj >= incumbent_obj - 1e-12:
             return
         snapped = x.copy()
         for vid in int_ids:
             snapped[vid] = round(snapped[vid])
         for candidate in (snapped, x):
-            full = presolved.expand(candidate)
-            check = milp.evaluate(model, full, int_tol=options.int_tol)
-            if check.feasible:
-                if check.objective < incumbent_obj - 1e-12:
-                    incumbent_x, incumbent_obj = full, check.objective
+            if offer(presolved.expand(candidate)):
                 return
 
     def counted(res):
@@ -497,8 +490,8 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         return res
 
     def solve_node(node, lower, upper):
-        """The node's LP: warm from its parent's basis, with the incumbent
-        as cutoff; a cold retry when the warm start stalls."""
+        """The node's LP: warm from its parent's basis (cold at the root),
+        with the incumbent as cutoff; a cold retry when it stalls."""
         cutoff = incumbent_obj - options.gap if incumbent_x is not None else None
         res = counted(solver.solve(warm_start=node.basis, lower=lower, upper=upper,
                                    cutoff=cutoff, deadline=deadline))
@@ -508,13 +501,10 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
                 raise RuntimeError("LP relaxation stalled; model is numerically hostile")
         return res
 
-    if initial_incumbent is not None:
-        seed = milp.assignment_vector(model, initial_incumbent)
-        seeded = milp.evaluate(model, seed, int_tol=options.int_tol)
-        if seeded.feasible:
-            incumbent_x, incumbent_obj = seed, seeded.objective
+    for seed in seeds:
+        offer(seed)
 
-    push(_Node(-math.inf, seq, {}, root_basis))
+    push(_Node(-math.inf, seq, {}))
     seq += 1
     saw_unbounded = False
     limit_hit = None
@@ -537,10 +527,8 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         for vid, (lo, hi) in node.overrides.items():
             lower[vid] = max(lower[vid], lo)
             upper[vid] = min(upper[vid], hi)
-        if np.any(lower > upper):
-            continue
         res = solve_node(node, lower, upper)
-        if res.start_factors is not None and node.basis is not root_basis:
+        if res.start_factors is not None:
             node.basis.binv = res.start_factors     # the sibling's start
         if res.status == "interrupted":
             push(node)              # back to the pool with its parent's bound
@@ -553,10 +541,12 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             saw_unbounded = True
             break
 
+        if node.seq == 0 and round_root is not None:    # the root LP is optimal
+            offer(round_root(presolved.expand(res.x)))
         node_obj = res.objective
         if node_obj >= incumbent_obj - options.gap:
             continue
-        branch_var = _branching_variable(res.x, int_ids, options.int_tol)
+        branch_var = _branching_variable(res.x, int_ids, milp.INT_TOL)
         if branch_var is None:
             try_incumbent(res.x, node_obj)
             continue
@@ -576,11 +566,11 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         push(_Node(node_obj, seq + 1, ceil_side if prefer_ceil else floor_side, start))
         seq += 2
 
-        if options.log_every and nodes % options.log_every == 0:
+        if log.isEnabledFor(logging.DEBUG):
             bb = min(open_best_bound(), incumbent_obj)
             inc = "-" if incumbent_x is None else f"{incumbent_obj:.6f}"
             gap = "-" if incumbent_x is None else f"{max(incumbent_obj - bb, 0.0):.3e}"
-            log.info("nodes=%d best_bound=%.6f incumbent=%s gap=%s", nodes, bb, inc, gap)
+            log.debug("nodes=%d best_bound=%.6f incumbent=%s gap=%s", nodes, bb, inc, gap)
 
     if saw_unbounded:
         return MilpResult("unbounded", None, None, -math.inf, math.inf, nodes, **work)

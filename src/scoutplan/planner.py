@@ -1,12 +1,12 @@
-"""High-level single-solve pipeline: model, presolve, warm starts, exact
-search, plan.
+"""High-level single-solve pipeline: model, incumbent seeds, exact search,
+plan.
 
-The relaxation is solved on the presolved problem, the same reduction branch
-and bound searches, so two seeds accelerate the exact search without
-touching its answer: the relaxation's basis warm-starts the root, and the
-best incumbent candidate (greedy rounding of the relaxation, the caller's
-seed plan, and a schedule enumeration of blob routes with scouted stops) is
-handed to branch and bound after being verified against the model.
+solve_scenario builds the model and collects incumbent seeds: the caller's
+seed plan, then a schedule enumeration of blob routes with scouted stops.
+It hands them to branch_bound.solve_milp together with a greedy rounding,
+which the search applies to its root LP's point once that LP is optimal.
+The search judges every candidate against the model, so the seeds speed up
+the exact search without touching its answer.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .branch_bound import (  # noqa: F401  (model_to_lp: the benchmark wraps it 
     MilpResult,
     SolveOptions,
     model_to_lp,
-    presolve_model,
     solve_milp,
 )
 from .formulation import (
@@ -78,35 +77,6 @@ def _ahead_walk(graph, ahead_nodes, scout_steps):
     return tuple(walk[:scout_steps])
 
 
-def _probe_walks(scenario, node, top=2):
-    """Out-and-back walks from a node over the most uncertain nearby paths."""
-    g = scenario.graph
-    depth_cap = (scenario.scout_steps - 2) // 2
-    found = []
-    stack = [((node,), 0.0)]
-    while stack:
-        path, score = stack.pop()
-        if len(path) > 1:
-            found.append((score, path))
-        if len(path) - 1 >= depth_cap:
-            continue
-        for succ in g.successors[path[-1]]:
-            if g.is_node(succ):
-                continue
-            nxt = g.dir_edge_at(succ).head
-            if nxt in path:
-                continue
-            gain = scenario.edge_uncertainty(g.uedge_of_location(succ))
-            stack.append((path + (nxt,), score + gain))
-    found.sort(key=lambda item: (-item[0], item[1]))
-    walks = []
-    for _, path in found[:top]:
-        walk = _ahead_walk(g, path, scenario.scout_steps)
-        if walk:
-            walks.append(walk)
-    return walks
-
-
 def _schedule_route(graph, path, stays):
     route = []
     for i, node in enumerate(path):
@@ -117,19 +87,20 @@ def _schedule_route(graph, path, stays):
 
 
 def structured_candidate(scenario: Scenario, plan_vars: PlanVars,
-                         model: milp.Model, inspection_decay: bool = True):
-    """Best assignment over blob schedules: every simple route, every wait
-    placement, scouts probing the route ahead at each stop (and a scoutless
-    variant).  Deterministic; returns None when no schedule fits."""
+                         inspection_decay: bool = True) -> list:
+    """Assignments of blob schedules, in enumeration order: every simple
+    route and every wait placement, each without scouts and with scouts
+    probing the route ahead at each stop.  Deterministic and unevaluated;
+    empty when no schedule fits."""
     g = scenario.graph
     n_t = scenario.horizon
     if len(scenario.starts) != 1 or not g.is_node(scenario.starts[0][0]):
-        return None
+        return []
     if len(scenario.goals) != 1 or not g.is_node(scenario.goals[0][0]):
-        return None
+        return []
     origin, target = scenario.starts[0][0], scenario.goals[0][0]
 
-    best, best_obj = None, None
+    candidates = []
     for path in _simple_node_paths(g, origin, target):
         hops = len(path) - 1
         spare = n_t - hops - 2          # stay-steps beyond the mandatory ends
@@ -150,7 +121,6 @@ def structured_candidate(scenario: Scenario, plan_vars: PlanVars,
             variants = [()]
             if scenario.scout_count:
                 ahead = []
-                probing = []
                 for t in range(1, n_t):
                     here = route[t - 1]
                     if not g.is_node(here) or here not in path:
@@ -159,21 +129,12 @@ def structured_candidate(scenario: Scenario, plan_vars: PlanVars,
                                        scenario.scout_steps)
                     if walk and any(not g.is_node(loc) for loc in walk):
                         ahead.append(Excursion(here, t, walk))
-                    extras = [w for w in _probe_walks(scenario, here)
-                              if w != walk][: scenario.scout_count - 1]
-                    probing.extend(Excursion(here, t, w) for w in extras)
                 if ahead:
                     variants.append(tuple(ahead))
-                if probing:
-                    variants.append(tuple(ahead + probing))
             for excursions in variants:
-                x = plan_to_assignment(routes, excursions, plan_vars,
-                                       scenario, inspection_decay)
-                check = milp.evaluate(model, x)
-                if check.feasible and (best_obj is None
-                                       or check.objective < best_obj - 1e-12):
-                    best, best_obj = x, check.objective
-    return best
+                candidates.append(plan_to_assignment(routes, excursions, plan_vars,
+                                                     scenario, inspection_decay))
+    return candidates
 
 
 def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
@@ -181,58 +142,36 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
                    seed_plan=None) -> PlanningOutcome:
     """Build and exactly solve one scenario, returning the extracted plan.
 
-    seed_plan, when given as (carrier_routes, scout_excursions), joins the
-    incumbent candidates; a receding-horizon caller passes the previous
-    plan's tail here so successive solves never regress below it.
-    options.time_limit covers the whole call: the time spent on the model,
-    the relaxation and the seeds is taken from what the search gets.
+    seed_plan, when given as (carrier_routes, scout_excursions), is the first
+    incumbent seed; a receding-horizon caller passes the previous plan's tail
+    here so successive solves never regress below it.  options.time_limit
+    covers the whole call: the time spent on the model and the seeds is
+    taken from what the search gets.
     """
     options = options or SolveOptions()
     t_start = time.monotonic()
     model, plan_vars = build_model(scenario, inspection_decay=inspection_decay)
-    presolved = presolve_model(model, options.int_tol)
-    relaxation = None
-    if not presolved.infeasible:
-        deadline = (None if options.time_limit is None
-                    else t_start + options.time_limit)
-        relaxation = presolved.solver.solve(deadline=deadline)
 
-    incumbent = None
-    incumbent_obj = None
-
-    def offer(assignment):
-        nonlocal incumbent, incumbent_obj
-        if assignment is None:
-            return
-        check = milp.evaluate(model, assignment)
-        if check.feasible and (incumbent_obj is None
-                               or check.objective < incumbent_obj - 1e-12):
-            incumbent, incumbent_obj = assignment, check.objective
-
-    root_basis = None
-    if relaxation is not None and relaxation.status == "optimal":
-        root_basis = relaxation.basis
-        routes, excursions = heuristic_plan_from_relaxation(
-            presolved.expand(relaxation.x), plan_vars, scenario)
-        offer(plan_to_assignment(routes, excursions, plan_vars, scenario,
-                                 inspection_decay=inspection_decay))
-
+    seeds = []
     if seed_plan is not None:
         routes, excursions = seed_plan
         try:
-            offer(plan_to_assignment(routes, excursions, plan_vars, scenario,
-                                     inspection_decay=inspection_decay))
+            seeds.append(plan_to_assignment(routes, excursions, plan_vars, scenario,
+                                            inspection_decay=inspection_decay))
         except KeyError:
             pass        # tail does not fit the current model; skip the seed
+    seeds += structured_candidate(scenario, plan_vars,
+                                  inspection_decay=inspection_decay)
 
-    offer(structured_candidate(scenario, plan_vars, model,
-                               inspection_decay=inspection_decay))
+    def round_root(x):
+        routes, excursions = heuristic_plan_from_relaxation(x, plan_vars, scenario)
+        return plan_to_assignment(routes, excursions, plan_vars, scenario,
+                                  inspection_decay=inspection_decay)
 
     if options.time_limit is not None:
         spent = time.monotonic() - t_start
         options = replace(options, time_limit=max(options.time_limit - spent, 0.0))
-    result = solve_milp(model, options, initial_incumbent=incumbent,
-                        root_basis=root_basis)
+    result = solve_milp(model, options, seeds=seeds, round_root=round_root)
     plan = None
     if result.x is not None:
         plan = extract_plan(result.x, plan_vars, scenario)

@@ -7,7 +7,7 @@ the ratio tests allow bound flips.
 Every solve starts in the bounded dual simplex: a cold one from the slack
 basis with each structural column at the bound its cost favours, a warm one
 from the given basis (a parent node's optimal basis after a branching bound
-change, or the planner's root handed to the search).  The leaving row is
+change).  The leaving row is
 the primal infeasibility with the largest square over its dual devex
 weight, and the ratio test is a Harris two-pass test with bound flipping,
 so boxed columns whose reduced cost changes sign jump to their other bound
@@ -188,10 +188,10 @@ class Basis:
     binv holds a factorization of this basis (or None): the final factors of
     the solve that produced the handle, or, on a handle that branch and bound
     shares between two children, the start factors the first child's solve
-    reports, so that the second skips its initial factorization.  A solve
-    never writes into the handle it starts from.  The name is kept from the
-    dense inverse it replaced, because perfbench/spans.py reads it to count
-    warm starts that carry factors.
+    reports.  A solve warm-started from a handle with factors skips its
+    initial factorization, and never writes into the handle.  The name is
+    kept from the dense inverse it replaced, because perfbench/spans.py
+    reads it to count warm starts that carry factors.
     """
 
     basic: np.ndarray

@@ -14,10 +14,13 @@ from scoutplan.branch_bound import (
     _branching_variable,
     model_to_lp,
     presolve,
-    presolve_model,
     solve_milp,
 )
-from scoutplan.formulation import build_model
+from scoutplan.formulation import (
+    build_model,
+    heuristic_plan_from_relaxation,
+    plan_to_assignment,
+)
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
 from scoutplan.scenario import load_scenario_file
@@ -94,20 +97,20 @@ class TestStatuses:
         if res.status == "feasible":
             assert res.objective >= res.best_bound - 1e-9
 
-    def test_nan_initial_incumbent_is_ignored(self):
+    def test_nan_seed_is_ignored(self):
         model, values, weights = knapsack_model()
         seed = np.zeros(len(model.variables))
         seed[0] = math.nan
-        res = solve_milp(model, initial_incumbent=seed)
+        res = solve_milp(model, seeds=[seed])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
         assert np.all(np.isfinite(res.x))
 
-    def test_mapping_initial_incumbent_is_read_like_evaluate(self):
+    def test_mapping_seed_is_read_like_evaluate(self):
         model, values, weights = knapsack_model()
         seed = {vid: 0.0 for vid in range(len(model.variables))}
         seed[0] = 1.0
-        res = solve_milp(model, initial_incumbent=seed)
+        res = solve_milp(model, seeds=[seed])
         assert res.status == "optimal"
         assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
         assert milp.evaluate(model, res.x).feasible
@@ -118,7 +121,7 @@ class TestStatuses:
 
     def test_interrupted_node_returns_to_the_pool(self, monkeypatch):
         model, _ = build_model(random_scaling_scenario(0, 5, 7, 5, 3))
-        root = LpSolver(presolve_model(model).problem).solve()
+        root = LpSolver(presolve(*model_to_lp(model)).problem).solve()
         optimum = solve_milp(model).objective
         calls = []
         solve = LpSolver.solve
@@ -195,8 +198,8 @@ class TestBoundMonotonicity:
             LinExpr({ids[i, j]: float(rng.uniform(0.5, 2)) for i in range(n)
                      for j in range(n)}), Sense.LE, 4.2, "side")
 
-        with caplog.at_level(logging.INFO, logger="scoutplan.branch_bound"):
-            res = solve_milp(m, SolveOptions(log_every=1))
+        with caplog.at_level(logging.DEBUG, logger="scoutplan.branch_bound"):
+            res = solve_milp(m)
         bounds = []
         for record in caplog.records:
             part = [p for p in record.getMessage().split() if p.startswith("best_bound=")]
@@ -207,8 +210,8 @@ class TestBoundMonotonicity:
 
     def test_log_line_format(self, caplog):
         model, _, _ = knapsack_model()
-        with caplog.at_level(logging.INFO, logger="scoutplan.branch_bound"):
-            solve_milp(model, SolveOptions(log_every=1))
+        with caplog.at_level(logging.DEBUG, logger="scoutplan.branch_bound"):
+            solve_milp(model)
         lines = [r.getMessage() for r in caplog.records]
         assert lines, "expected at least one log line"
         import re
@@ -385,7 +388,7 @@ class TestPresolve:
     @pytest.mark.parametrize("kind, seed", [*CORPUS[:-1], ("doubletons", 0)])
     def test_reduced_integer_optimum_expands_to_a_full_one(self, kind, seed):
         model = corpus_model(kind, seed)
-        presolved = presolve_model(model)
+        presolved = presolve(*model_to_lp(model))
         assert not presolved.infeasible
         optimum, x = highs_solve(presolved.problem, presolved.int_ids)
         x[presolved.int_ids] = np.round(x[presolved.int_ids])
@@ -418,39 +421,6 @@ class TestPresolve:
         assert res.objective == pytest.approx(highs_optimum(model), abs=1e-9)
         x = dict(zip(ids, res.x))
         assert x["x"] == x["y"] and x["c"] == x["d"] and x["p"] == 4 - x["q"]
-
-    def test_planner_and_search_share_one_presolve(self, monkeypatch):
-        calls = []
-        run = branch_bound.presolve
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("int_tol"))
-            return run(*args, **kwargs)
-
-        builds = []
-        build = LpSolver.__init__
-
-        def counted_build(self, problem):
-            builds.append(problem)
-            build(self, problem)
-
-        monkeypatch.setattr(branch_bound, "presolve", counted)
-        monkeypatch.setattr(LpSolver, "__init__", counted_build)
-        outcome = planner.solve_scenario(random_tiny_scenario(3))
-        assert outcome.result.status == "optimal"
-        assert len(calls) == 1
-        model = outcome.model
-        assert presolve_model(model) is presolve_model(model)
-        assert len(calls) == 1
-        # the planner's relaxation and the search share one LP solver too
-        assert len(builds) == 1 and builds[0] is presolve_model(model).problem
-        assert presolve_model(model).solver is presolve_model(model).solver
-        presolve_model(model, int_tol=1e-4)
-        assert len(calls) == 2
-        model.add_var(BINARY, 0, 1, "extra")      # a new lowering is presolved anew
-        assert presolve_model(model).problem.rows.shape[1] == (
-            presolve(*model_to_lp(model)).problem.rows.shape[1])
-        assert len(calls) == 3
 
     def test_expand_puts_fixed_values_back(self):
         model = fixed_and_free_model()
@@ -535,6 +505,34 @@ class TestAgainstHighs:
 
 
 class TestSearchCost:
+    @pytest.mark.parametrize("kind, seed, node_limit", [("tiny", 3, None),
+                                                        ("bundled", 0, 25)])
+    def test_one_presolve_one_solver_one_lp_per_node(self, kind, seed, node_limit,
+                                                    monkeypatch):
+        presolves, builds, solves = [], [], []
+        run, build, solve = branch_bound.presolve, LpSolver.__init__, LpSolver.solve
+
+        def counted_presolve(*args):
+            presolves.append(1)
+            return run(*args)
+
+        def counted_build(self, problem):
+            builds.append(problem)
+            build(self, problem)
+
+        def counted_solve(self, *args, **kwargs):
+            solves.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(branch_bound, "presolve", counted_presolve)
+        monkeypatch.setattr(LpSolver, "__init__", counted_build)
+        monkeypatch.setattr(LpSolver, "solve", counted_solve)
+        result = planner.solve_scenario(corpus_scenario(kind, seed),
+                                        SolveOptions(node_limit=node_limit)).result
+        assert result.status in ("optimal", "feasible")
+        assert len(presolves) == 1 and len(builds) == 1
+        assert len(solves) == result.nodes == result.lp_solves
+
     @pytest.mark.parametrize("seed", range(3))
     def test_one_lp_solve_per_node(self, seed, monkeypatch):
         calls = []
@@ -551,3 +549,97 @@ class TestSearchCost:
         assert len(calls) == res.nodes == res.lp_solves
         assert res.lp_pivots == sum(lp.iterations for lp in calls)
         assert res.factorizations == sum(lp.factorizations for lp in calls)
+
+
+def either_model():
+    """min x0 + x1 over binaries with x0 + x1 >= 1: two optima of value 1."""
+    m = Model(name="either")
+    ids = [m.add_var(BINARY, 0, 1, f"x{i}") for i in range(2)]
+    m.objective = LinExpr({vid: 1.0 for vid in ids})
+    m.add_constraint(LinExpr({vid: 1.0 for vid in ids}), Sense.GE, 1.0, "one")
+    return m
+
+
+def odd_cycle_model():
+    """Three pairwise-exclusive [0, 1] columns that must sum to 2: the LP is
+    infeasible, but no single row's activity bounds show it to presolve."""
+    m = Model(name="odd_cycle")
+    ids = [m.add_var(CONTINUOUS, 0, 1, f"x{i}") for i in range(3)]
+    for a, b in itertools.combinations(ids, 2):
+        m.add_constraint(LinExpr({a: 1.0, b: 1.0}), Sense.LE, 1.0, f"pair{a}{b}")
+    m.add_constraint(LinExpr({vid: 1.0 for vid in ids}), Sense.GE, 2.0, "two")
+    return m
+
+
+class TestIncumbentGate:
+    def test_ties_go_to_the_first_seed(self):
+        model = either_model()
+        for first, second in (([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.0])):
+            res = solve_milp(model, seeds=[np.array(first), np.array(second)])
+            assert res.status == "optimal"
+            assert res.x.tolist() == first
+
+    def test_a_strictly_better_later_seed_wins(self):
+        model, _, _ = knapsack_model()
+        worse, better = np.zeros(6), np.zeros(6)
+        worse[5] = better[0] = 1.0
+        res = solve_milp(model, SolveOptions(node_limit=0),
+                         seeds=[worse, better, worse])
+        assert res.status == "feasible" and res.nodes == 0
+        assert res.objective == -9.0
+        assert res.x.tolist() == better.tolist()
+
+    def test_round_root_gets_the_optimal_root_point_once(self):
+        model, values, weights = knapsack_model()
+        points = []
+
+        def round_root(x):
+            points.append(x.copy())
+            return np.zeros(len(x))
+
+        res = solve_milp(model, round_root=round_root)
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(knapsack_brute_force(values, weights))
+        presolved = presolve(*model_to_lp(model))
+        root = LpSolver(presolved.problem).solve()
+        assert len(points) == 1 and len(points[0]) == len(model.variables)
+        assert np.allclose(points[0], presolved.expand(root.x), rtol=0, atol=1e-12)
+
+    def test_round_root_skips_an_infeasible_or_cut_off_root(self, monkeypatch):
+        statuses = []
+        solve = LpSolver.solve
+
+        def recorded(self, *args, **kwargs):
+            res = solve(self, *args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        calls = []
+        model = odd_cycle_model()
+        assert not presolve(*model_to_lp(model)).infeasible
+        monkeypatch.setattr(LpSolver, "solve", recorded)
+        res = solve_milp(model, round_root=calls.append)
+        assert res.status == "infeasible" and statuses == ["infeasible"]
+        statuses.clear()
+        res = solve_milp(either_model(), seeds=[np.array([1.0, 0.0])],
+                         round_root=calls.append)
+        assert res.status == "optimal" and statuses == ["cutoff"]
+        assert calls == []
+
+    def test_root_rounding_is_returned_when_it_is_the_only_candidate(self):
+        # tiny seed 170 has two starts, so no structured schedule fits and
+        # its root LP is fractional: after one node, the rounding is the
+        # incumbent
+        scenario = random_tiny_scenario(170)
+        model, plan_vars = build_model(scenario)
+        assert planner.structured_candidate(scenario, plan_vars) == []
+        presolved = presolve(*model_to_lp(model))
+        root = LpSolver(presolved.problem).solve()
+        routes, excursions = heuristic_plan_from_relaxation(
+            presolved.expand(root.x), plan_vars, scenario)
+        rounded = milp.evaluate(model, plan_to_assignment(routes, excursions,
+                                                          plan_vars, scenario))
+        assert rounded.feasible
+        result = planner.solve_scenario(scenario, SolveOptions(node_limit=1)).result
+        assert result.status == "feasible" and result.nodes == 1
+        assert result.objective == rounded.objective

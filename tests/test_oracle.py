@@ -177,9 +177,10 @@ class TestRoundTrip:
     @staticmethod
     def assert_structured_seed_flies_scouts(sc):
         model, pv = build_model(sc)
-        x = structured_candidate(sc, pv, model)
-        check = milp.evaluate(model, x)
-        assert check.feasible
+        # the schedule the incumbent gate keeps: the first of the cheapest
+        checks = [(milp.evaluate(model, x), x) for x in structured_candidate(sc, pv)]
+        check, x = min(((c, x) for c, x in checks if c.feasible),
+                       key=lambda pair: pair[0].objective)
         plan = assert_round_trip(sc, pv, x, check.objective)
         assert plan.scout_excursions
         assert any(step.launch_cost > 0 for step in plan.breakdown)
