@@ -69,8 +69,12 @@ class SolveOptions:
     time_limit: float | None = None     # seconds
 
     def __post_init__(self):
-        if self.gap <= 0:
-            raise ValueError("gap must be positive")
+        if not self.gap > 0:                        # NaN too
+            raise ValueError(f"gap must be positive, not {self.gap}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node limit must not be negative, not {self.node_limit}")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time limit must not be negative, not {self.time_limit}")
 
 
 @dataclass

@@ -27,11 +27,12 @@ OK, INVALID, INFEASIBLE, LIMIT = 0, 2, 3, 4
 
 
 def _solver_options(args) -> SolveOptions:
-    return SolveOptions(
-        gap=args.gap,
-        node_limit=args.nodes_limit,
-        time_limit=args.time_limit,
-    )
+    try:
+        return SolveOptions(gap=args.gap, node_limit=args.nodes_limit,
+                            time_limit=args.time_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(INVALID)
 
 
 def _load(path: str):
@@ -58,8 +59,8 @@ def cmd_validate(args) -> int:
           f"locations: {g.n_locations}")
     print(f"carriers: {scenario.carrier_count}  scouts: {scenario.scout_count}  "
           f"horizon: {scenario.horizon}x{scenario.scout_steps}")
-    for ue, (a, b, data) in enumerate(g.uedges):
-        print(f"edge {g.node_labels[a]}-{g.node_labels[b]}: weight {data.weight:g} "
+    for ue, (_, _, data) in enumerate(g.uedges):
+        print(f"edge {g.edge_label(ue)}: weight {data.weight:g} "
               f"effective uncertainty {scenario.edge_uncertainty(ue):g}")
     for v in range(g.n_nodes):
         print(f"node {g.node_labels[v]}: launch cost "
@@ -81,7 +82,7 @@ def cmd_plan(args) -> int:
     count = (compact_variable_count(scenario) if args.count_mode == "compact"
              else paper_parity_variable_count(scenario))
     print(f"decision variables ({args.count_mode}): {count}")
-    outcome = solve_scenario(scenario, _solver_options(args))
+    outcome = solve_scenario(scenario, args.options)
     result = outcome.result
     if result.status == "infeasible":
         print("infeasible", file=sys.stderr)
@@ -105,7 +106,7 @@ def cmd_simulate(args) -> int:
         print("error: scenario has no ground_truth section", file=sys.stderr)
         return INVALID
     out = _outdir(args)
-    log = run_mission(scenario, truth, _solver_options(args))
+    log = run_mission(scenario, truth, args.options)
     keep = not args.deterministic
     (out / "mission.json").write_text(
         report.mission_to_json(log, scenario, keep_timings=keep))
@@ -135,12 +136,12 @@ def cmd_ablate(args) -> int:
         from .executor import variant_scenario
         log = run_mission(
             variant_scenario(scenario, args.variant), truth,
-            _solver_options(args),
+            args.options,
             inspection_decay=(args.variant != "scouts-nodecay"),
         )
         logs = {args.variant: log}
     else:
-        logs = run_ablation(scenario, truth, _solver_options(args))
+        logs = run_ablation(scenario, truth, args.options)
     rows = []
     for variant, log in logs.items():
         rows.append([variant, log.status, log.route_true_cost,
@@ -180,7 +181,7 @@ def cmd_sweep_beta(args) -> int:
     for beta in betas:
         from dataclasses import replace
         swept = replace(scenario, optimism=beta)
-        log = run_mission(swept, truth, _solver_options(args))
+        log = run_mission(swept, truth, args.options)
         counts = report.scout_visit_counts(
             scenario, [e for s in log.steps for e in s.excursions])
         for ue in per_edge:
@@ -190,10 +191,7 @@ def cmd_sweep_beta(args) -> int:
             report.routes_dot(scenario, visit_counts=counts))
         print(f"beta={beta:g}: status {log.status} scout edge visits "
               f"{sum(counts.values())}")
-    rows = []
-    for ue in sorted(per_edge):
-        a, b, _ = g.uedges[ue]
-        rows.append([f"{g.node_labels[a]}-{g.node_labels[b]}"] + per_edge[ue])
+    rows = [[g.edge_label(ue)] + per_edge[ue] for ue in sorted(per_edge)]
     rows.append(["total"] + totals)
     (out / "beta_sweep.csv").write_text(report.comparison_csv(header, rows))
     return OK
@@ -256,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.options = _solver_options(args)    # before any output is written
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else INVALID

@@ -158,30 +158,26 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
             new_var("carrier_unc", (loc, t), CONTINUOUS, 0, math.inf,
                     f"cu_a[{g.location_label(loc)},{t}]")
         for ue in uedges:
-            a, b, _ = g.uedges[ue]
             new_var("inspect_ratio", (ue, t), CONTINUOUS, 0, 1,
-                    f"z[{g.node_labels[a]}-{g.node_labels[b]},{t}]")
+                    f"z[{g.edge_label(ue)},{t}]")
         if scouts and t <= n_t - 1:
             for v in nodes:
                 new_var("deployed", (v, t), INTEGER, 0, n_k,
                         f"f[{g.node_labels[v]},{t}]")
             for ue in uedges:
-                a, b, _ = g.uedges[ue]
                 new_var("scout_edge", (ue, t), BINARY, 0, 1,
-                        f"theta[{g.node_labels[a]}-{g.node_labels[b]},{t}]")
+                        f"theta[{g.edge_label(ue)},{t}]")
             for ue in uedges:
-                a, b, _ = g.uedges[ue]
                 new_var("scout_unc", (ue, t), CONTINUOUS, 0, math.inf,
-                        f"cu_k[{g.node_labels[a]}-{g.node_labels[b]},{t}]")
+                        f"cu_k[{g.edge_label(ue)},{t}]")
             for s in range(1, n_tau + 1):
                 for loc in all_locs:
                     new_var("scout_at", (loc, s, t), INTEGER, 0, n_k,
                             f"q[{g.location_label(loc)},{s},{t}]")
         if scouts and t <= n_t - 2:
             for ue in uedges:
-                a, b, _ = g.uedges[ue]
                 new_var("inspected", (ue, t), BINARY, 0, 1,
-                        f"delta[{g.node_labels[a]}-{g.node_labels[b]},{t}]")
+                        f"delta[{g.edge_label(ue)},{t}]")
 
     # objective ---------------------------------------------------------------
     obj = LinExpr()

@@ -72,7 +72,8 @@ class Graph:
     def __init__(self, node_labels: list[str], edges: list[tuple[int, int, EdgeData]]):
         self.node_labels = tuple(node_labels)
         self.n_nodes = len(self.node_labels)
-        if len(set(self.node_labels)) != self.n_nodes:
+        self._node_index = {label: v for v, label in enumerate(self.node_labels)}
+        if len(self._node_index) != self.n_nodes:
             raise ValidationError("duplicate node labels")
 
         seen: set[tuple[int, int]] = set()
@@ -90,6 +91,11 @@ class Graph:
         self.uedges: tuple[tuple[int, int, EdgeData], ...] = tuple(canon)
         for a, b, data in self.uedges:
             data.validate(f"({self.node_labels[a]},{self.node_labels[b]})")
+        # "a-b" and "b-a" both name an undirected edge
+        self._edge_index = {}
+        for idx, (a, b, _) in enumerate(self.uedges):
+            self._edge_index[f"{self.node_labels[b]}-{self.node_labels[a]}"] = idx
+            self._edge_index[self.edge_label(idx)] = idx
 
         dir_edges = []
         for idx, (a, b, _) in enumerate(self.uedges):
@@ -149,11 +155,33 @@ class Graph:
         d = self.dir_edges[loc - self.n_nodes]
         return f"{self.node_labels[d.tail]}->{self.node_labels[d.head]}"
 
+    def location_index(self, label: str) -> int:
+        """The location that location_label names label."""
+        if "->" not in label:
+            return self.node_index(label)
+        tail, head = label.split("->", 1)
+        loc = self._dir_loc.get((self.node_index(tail), self.node_index(head)))
+        if loc is None:
+            raise ValidationError(f"unknown location {label!r}")
+        return loc
+
     def node_index(self, label: str) -> int:
         try:
-            return self.node_labels.index(label)
-        except ValueError:
+            return self._node_index[label]
+        except KeyError:
             raise ValidationError(f"unknown node label {label!r}") from None
+
+    def edge_label(self, uedge: int) -> str:
+        """The label a-b of the undirected edge between nodes a and b, a < b."""
+        a, b, _ = self.uedges[uedge]
+        return f"{self.node_labels[a]}-{self.node_labels[b]}"
+
+    def edge_index(self, label: str) -> int:
+        """The undirected edge that label names, in either orientation."""
+        try:
+            return self._edge_index[label]
+        except KeyError:
+            raise ValidationError(f"unknown edge {label!r}") from None
 
 
 def locations(graph: Graph) -> list[int]:

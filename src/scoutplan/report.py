@@ -12,32 +12,18 @@ from dataclasses import asdict
 
 from .executor import BeliefState, EdgeBelief, MissionLog, MissionStep
 from .formulation import Excursion, Plan, StepCost
+from .graphs import Graph
 from .scenario import Scenario
 
 
-def _loc(scenario: Scenario, label: str) -> int:
-    g = scenario.graph
-    if "->" in label:
-        a, b = label.split("->")
-        return g.edge_location(g.node_index(a), g.node_index(b))
-    return g.node_index(label)
+def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
+    return {"node": g.location_label(exc.node), "step": exc.step,
+            "walk": [g.location_label(loc) for loc in exc.walk]}
 
 
-def _edge_label(scenario: Scenario, ue: int) -> str:
-    g = scenario.graph
-    a, b, _ = g.uedges[ue]
-    return f"{g.node_labels[a]}-{g.node_labels[b]}"
-
-
-def _edge_index(scenario: Scenario, label: str) -> int:
-    g = scenario.graph
-    a, b = label.split("-")
-    ia, ib = g.node_index(a), g.node_index(b)
-    key = (min(ia, ib), max(ia, ib))
-    for idx, (x, y, _) in enumerate(g.uedges):
-        if (x, y) == key:
-            return idx
-    raise ValueError(f"unknown edge {label!r}")
+def _excursion_from_dict(g: Graph, doc: dict) -> Excursion:
+    return Excursion(g.location_index(doc["node"]), int(doc["step"]),
+                     tuple(g.location_index(label) for label in doc["walk"]))
 
 
 # -- plans ---------------------------------------------------------------------
@@ -47,35 +33,21 @@ def plan_to_dict(plan: Plan, scenario: Scenario) -> dict:
     return {
         "routes": [[g.location_label(loc) for loc in route]
                    for route in plan.carrier_routes],
-        "excursions": [
-            {
-                "node": g.location_label(exc.node),
-                "step": exc.step,
-                "walk": [g.location_label(loc) for loc in exc.walk],
-            }
-            for exc in plan.scout_excursions
-        ],
-        "inspections": sorted(
-            [_edge_label(scenario, ue), t] for ue, t in plan.inspections
-        ),
+        "excursions": [_excursion_to_dict(g, exc) for exc in plan.scout_excursions],
+        "inspections": sorted([g.edge_label(ue), t] for ue, t in plan.inspections),
         "steps": [asdict(s) for s in plan.breakdown],
         "total_cost": plan.total_cost,
     }
 
 
 def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
+    g = scenario.graph
     routes = tuple(
-        tuple(_loc(scenario, label) for label in route) for route in doc["routes"]
+        tuple(g.location_index(label) for label in route) for route in doc["routes"]
     )
-    excursions = tuple(
-        Excursion(
-            _loc(scenario, e["node"]), int(e["step"]),
-            tuple(_loc(scenario, label) for label in e["walk"]),
-        )
-        for e in doc["excursions"]
-    )
+    excursions = tuple(_excursion_from_dict(g, e) for e in doc["excursions"])
     inspections = frozenset(
-        (_edge_index(scenario, label), int(t)) for label, t in doc["inspections"]
+        (g.edge_index(label), int(t)) for label, t in doc["inspections"]
     )
     breakdown = tuple(StepCost(**s) for s in doc["steps"])
     return Plan(routes, excursions, inspections, breakdown, doc["total_cost"])
@@ -155,20 +127,11 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
                 "model_variables": s.model_variables,
                 "planned_objective": s.planned_objective,
                 "positions_after": [g.location_label(loc) for loc in s.positions_after],
-                "excursions": [
-                    {
-                        "node": g.location_label(e.node),
-                        "step": e.step,
-                        "walk": [g.location_label(loc) for loc in e.walk],
-                    }
-                    for e in s.excursions
-                ],
-                "observations": [
-                    [_edge_label(scenario, ue), cost] for ue, cost in s.observations
-                ],
+                "excursions": [_excursion_to_dict(g, e) for e in s.excursions],
+                "observations": [[g.edge_label(ue), cost] for ue, cost in s.observations],
                 "belief_after": [
                     {
-                        "edge": _edge_label(scenario, ue),
+                        "edge": g.edge_label(ue),
                         "weight": eb.weight,
                         "unc_lower": eb.unc_lower,
                         "unc_upper": eb.unc_upper,
@@ -187,6 +150,7 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
 
 
 def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
+    g = scenario.graph
     steps = []
     for s in doc["steps"]:
         steps.append(MissionStep(
@@ -194,16 +158,10 @@ def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
             solve_seconds=s["solve_seconds"],
             model_variables=s["model_variables"],
             planned_objective=s["planned_objective"],
-            positions_after=tuple(_loc(scenario, lbl) for lbl in s["positions_after"]),
-            excursions=tuple(
-                Excursion(
-                    _loc(scenario, e["node"]), int(e["step"]),
-                    tuple(_loc(scenario, lbl) for lbl in e["walk"]),
-                )
-                for e in s["excursions"]
-            ),
+            positions_after=tuple(g.location_index(lbl) for lbl in s["positions_after"]),
+            excursions=tuple(_excursion_from_dict(g, e) for e in s["excursions"]),
             observations=tuple(
-                (_edge_index(scenario, label), cost) for label, cost in s["observations"]
+                (g.edge_index(label), cost) for label, cost in s["observations"]
             ),
             belief_after=BeliefState(tuple(
                 EdgeBelief(e["weight"], e["unc_lower"], e["unc_upper"], e["age"])

@@ -272,23 +272,20 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
 
     truth = None
     if "ground_truth" in doc:
-        key_of = {}
-        for idx, (a, b, _) in enumerate(graph.uedges):
-            key_of[f"{labels[a]}-{labels[b]}"] = idx
-            key_of[f"{labels[b]}-{labels[a]}"] = idx
         traces: list[tuple[float, ...] | None] = [None] * len(graph.uedges)
         for key, values in doc["ground_truth"].items():
-            if key not in key_of:
-                raise ValidationError(f"ground_truth: unknown edge key {key!r}")
-            if traces[key_of[key]] is not None:
+            try:
+                idx = graph.edge_index(key)
+            except ValidationError:
+                raise ValidationError(
+                    f"ground_truth: unknown edge key {key!r}") from None
+            if traces[idx] is not None:
                 raise ValidationError(f"ground_truth: duplicate edge key {key!r}")
-            traces[key_of[key]] = tuple(float(v) for v in values)
+            traces[idx] = tuple(float(v) for v in values)
         for idx, trace in enumerate(traces):
             if trace is None:
-                a, b, _ = graph.uedges[idx]
                 raise ValidationError(
-                    f"ground_truth: missing edge {labels[a]}-{labels[b]}"
-                )
+                    f"ground_truth: missing edge {graph.edge_label(idx)}")
         truth = GroundTruth(tuple(traces))
         truth.validate(scenario)
 
@@ -342,7 +339,6 @@ def scenario_to_document(scenario: Scenario, truth: GroundTruth | None = None) -
     }
     if truth is not None:
         doc["ground_truth"] = {
-            f"{g.node_labels[a]}-{g.node_labels[b]}": list(truth.traces[idx])
-            for idx, (a, b, _) in enumerate(g.uedges)
+            g.edge_label(idx): list(trace) for idx, trace in enumerate(truth.traces)
         }
     return doc

@@ -1,47 +1,45 @@
-"""Bounded-variable dual simplex, with the primal as its phase 2.
+"""Bounded-variable dual simplex with a dual phase 1 on an auxiliary problem.
 
 Relaxation engine for the branch-and-bound solver.  Variables keep their
 boxes (no standard-form expansion): nonbasic variables rest at a bound and
 the ratio tests allow bound flips.
 
-Every solve starts in the bounded dual simplex: a cold one from the slack
-basis with each structural column at the bound its cost favours, a warm one
-from the given basis (a parent node's optimal basis after a branching bound
-change).  The leaving row is
-the primal infeasibility with the largest square over its dual devex
-weight, and the ratio test is a Harris two-pass test with bound flipping,
-so boxed columns whose reduced cost changes sign jump to their other bound
-instead of entering (Maros (2003), EJOR 144; Koberstein (2005), PhD thesis,
-Paderborn).  Whenever the reduced costs are priced afresh, a boxed column
-of the wrong sign flips to its other bound, and any other column of the
-wrong sign (unboxed on the side its cost favours, or free) gets a cost
-shift that makes its reduced cost zero, so no phase 1 is needed.  Every
-dual iterate's objective bounds the LP optimum from below, so a solve given
-a cutoff stops as soon as it reaches it, unless a shift is in effect.  An
-infeasible verdict does not depend on the costs and stands under shifts.
-Once the basis is primal feasible the shifts are removed and the primal
-phase 2 finishes, which normally takes no pivot; should it find the basis
-primal infeasible, it hands it back to the dual.
+Every solve runs one pivot loop, the bounded dual simplex: a cold one from
+the slack basis with each structural column at the bound its cost favours,
+a warm one from the given basis (a parent node's optimal basis after a
+branching bound change).  The leaving row is the primal infeasibility with
+the largest square over its dual devex weight, and the ratio test is a
+Harris two-pass test with bound flipping, so boxed columns whose reduced
+cost changes sign jump to their other bound instead of entering (Maros
+(2003), EJOR 144; Koberstein (2005), PhD thesis, Paderborn).  Whenever the
+reduced costs are priced afresh, a boxed column of the wrong sign flips to
+its other bound.  Should any other column have the wrong sign (unboxed on
+the side its cost favours, or free), the basis goes to phase 1: the same
+dual loop solves the auxiliary problem with zero right-hand sides in which
+every column is boxed (finite lower bounds become 0 and infinite ones -1,
+finite upper bounds 0 and infinite ones 1), whose optimal basis is dual
+feasible for the LP unless the LP has a ray of negative cost (the
+subproblem method of Koberstein and Suhl (2007), Comput. Optim. Appl. 37,
+after Fourer (1994)).  Such a ray makes the LP unbounded when it is
+feasible, which the dual loop settles with zero costs.  Every dual
+iterate's objective bounds the LP optimum from below, so a solve given a
+cutoff stops as soon as it reaches it.
 
-Pricing in either loop is devex with reduced costs updated incrementally;
-after a run of degenerate steps either loop falls back to Bland's rule to
-guarantee termination.  The primal ratio test is the two-pass (Harris)
-kind: tiny coefficients never block, and the second pass picks the largest
-admissible pivot within the tolerance-relaxed step.  A deadline is checked
-at every pivot of either loop.  The basis is held as a sparse LU
-factorization (SuperLU, fixed COLAMD column order) of a start basis plus a
-product-form eta file, one eta per pivot (Forrest and Tomlin (1972), Math.
-Programming 2; Suhl and Suhl (1990), ORSA J. Computing 2(4)).  It is
-refactorized once the eta file holds more nonzeros than L and U.  A solve
-that factors its warm start basis reports the factorization as it stood
-before the first eta, so another solve from that basis can start on it.
-Before a cutoff, infeasible or optimal verdict, x_B and the duals are
-recomputed on the current factors, which are kept when the primal residual
-|Ax - b| and the basic reduced costs stay within RESIDUAL_PRIMAL and
-RESIDUAL_DUAL (relative to 1 + |b| and 1 + |c|), and refactorized
-otherwise; the verdict is then checked again on the recomputed values.
-All tie-breaks take the lowest variable index, so identical inputs give
-identical bases.
+After a run of degenerate steps the dual falls back to Bland's rule to
+guarantee termination.  A deadline is checked at every pivot.  The basis
+is held as a sparse LU factorization (SuperLU, fixed COLAMD column order)
+of a start basis plus a product-form eta file, one eta per pivot (Forrest
+and Tomlin (1972), Math. Programming 2; Suhl and Suhl (1990), ORSA J.
+Computing 2(4)).  It is refactorized once the eta file holds more nonzeros
+than L and U.  A solve that factors its warm start basis reports the
+factorization as it stood before the first eta, so another solve from that
+basis can start on it.  Before a cutoff, infeasible or optimal verdict,
+x_B and the duals are recomputed on the current factors, which are kept
+when the primal residual |Ax - b| and the basic reduced costs stay within
+RESIDUAL_PRIMAL and RESIDUAL_DUAL (relative to 1 + |b| and 1 + |c|), and
+refactorized otherwise; the verdict is then checked again on the
+recomputed values.  All tie-breaks take the lowest variable index, so
+identical inputs give identical bases.
 
 LpSolver keeps the assembled matrices so branch-and-bound can re-solve the
 same problem under per-node bounds without rebuilding anything.
@@ -204,11 +202,11 @@ class LpResult:
     """status is optimal, infeasible, unbounded, stalled (iteration limit),
     cutoff (the objective provably reaches the cutoff; objective holds the
     bound that showed it) or interrupted (the deadline passed).  iterations
-    counts dual and primal pivots alike, factorizations the sparse LU
-    factorizations of a non-slack basis.  start_factors is the factorization
-    of the warm start basis as the solve made it, before any eta, or None
-    when the solve started from carried factors or the slack basis: another
-    solve from the same basis may carry it as Basis.binv."""
+    counts the pivots of phase 1 and phase 2 alike, factorizations the
+    sparse LU factorizations of a non-slack basis.  start_factors is the
+    factorization of the warm start basis as the solve made it, before any
+    eta, or None when the solve started from carried factors or the slack
+    basis: another solve from the same basis may carry it as Basis.binv."""
 
     status: str
     x: np.ndarray | None
@@ -334,12 +332,12 @@ def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
 
 
 class _Run:
-    """One solve: bound vectors, basis state and the pivot loops."""
+    """One solve: bound vectors, basis state and the pivot loop."""
 
     def __init__(self, ctx: LpSolver, lower, upper, warm_start: Basis | None):
         self.ctx = ctx
         self.m, self.n, self.total = ctx.m, ctx.n, ctx.total
-        self.cost = ctx.cost            # a shifted copy while shifts are in effect
+        self.cost = ctx.cost            # zeros while phase 1 tests a ray for feasibility
         self.cols = ctx.cols
         self.rhs = ctx.rhs
         self.lower = lower
@@ -372,7 +370,6 @@ class _Run:
 
         self.x = self._recompute_x()
         self.reduced = None
-        self.weights = np.ones(self.total)
 
     def _slack_restart(self, status=None):
         if status is None:      # the basic columns leave at their initial status
@@ -382,7 +379,6 @@ class _Run:
         status[self.basis] = BASIC
         self.status = status
         self.factors = _Factors(self.cols, None)
-        self.weights = np.ones(self.total)
         self.reduced = None
 
     def _cols_times(self, x):
@@ -425,19 +421,20 @@ class _Run:
         y = self.factors.btran(self.cost[self.basis])
         self.reduced = self.cost - self._times_cols(y)
 
-    def _confirm(self):
-        """Recompute x_B and the reduced costs on the current factors, and
-        refactorize when their residuals show that the factors have drifted."""
+    def _confirm(self, movable):
+        """Recompute x_B and the reduced costs on the current factors,
+        refactorize when their residuals show that the factors have drifted,
+        and return _make_dual_feasible's answer on the recomputed values."""
         self.x = self._recompute_x()
         self._price()
-        if self.factors.k == 0:
-            return                  # a fresh factorization is as good as it gets
-        primal = np.abs(self._cols_times(self.x) - self.rhs).max()
-        dual = np.abs(self.reduced[self.basis]).max()
-        if (primal > RESIDUAL_PRIMAL * (1.0 + np.abs(self.rhs).max())
-                or dual > RESIDUAL_DUAL * (1.0 + np.abs(self.cost).max())):
-            self._refactorize()
-            self._price()
+        if self.factors.k:          # a fresh factorization is as good as it gets
+            primal = np.abs(self._cols_times(self.x) - self.rhs).max()
+            dual = np.abs(self.reduced[self.basis]).max()
+            if (primal > RESIDUAL_PRIMAL * (1.0 + np.abs(self.rhs).max())
+                    or dual > RESIDUAL_DUAL * (1.0 + np.abs(self.cost).max())):
+                self._refactorize()
+                self._price()
+        return self._make_dual_feasible(movable)
 
     def _sides(self, movable):
         """Movable nonbasic columns whose reduced cost dual feasibility keeps
@@ -459,52 +456,83 @@ class _Run:
 
     def _make_dual_feasible(self, movable):
         """Flip each boxed column whose reduced cost has the wrong sign beyond
-        EPS_COST to its other bound, and shift the cost of every other such
-        column so that its reduced cost is zero.  Sets the masks lo_ok and
-        hi_ok of _sides, which the dual keeps current from here on."""
+        EPS_COST to its other bound, and return the number of flips.
+        Returns None, flipping nothing, when a column that cannot flip (it
+        is unboxed on the side its cost favours, or free) has the wrong
+        sign, so that phase 1 is needed.  Sets the masks lo_ok and hi_ok of
+        _sides, which the dual keeps current from here on."""
         d = self.reduced
         self.lo_ok, self.hi_ok = self._sides(movable)
         wrong = (self.lo_ok & (d < -EPS_COST)) | (self.hi_ok & (d > EPS_COST))
         if not wrong.any():
-            return
+            return 0
         boxed = (np.isfinite(self.lower) & np.isfinite(self.upper)
                  & (self.status != NB_FREE))
-        flips = np.flatnonzero(wrong & boxed)
-        if flips.size:
-            self._flip(flips)
-        shifts = np.flatnonzero(wrong & ~boxed)
-        if shifts.size:
-            if self.cost is self.ctx.cost:
-                self.cost = self.cost.copy()
-            self.cost[shifts] -= d[shifts]
-            d[shifts] = 0.0
+        if (wrong & ~boxed).any():
+            return None
+        flips = np.flatnonzero(wrong)
+        self._flip(flips)
+        return flips.size
 
     def solve(self, max_iterations, cutoff=None, deadline=None) -> LpResult:
-        movable = (self.upper - self.lower) > EPS_PIVOT
         iterations = 0
         while True:
-            result, iterations = self._dual(movable, iterations, max_iterations,
-                                            cutoff, deadline)
+            result, iterations = self._dual(iterations, max_iterations, cutoff,
+                                            deadline)
             if result is None:
-                if self.cost is not self.ctx.cost:      # remove the shifts
-                    self.cost, self.reduced = self.ctx.cost, None
-                result, iterations = self._primal(movable, iterations,
-                                                  max_iterations, deadline)
+                result, iterations = self._phase_one(iterations, max_iterations,
+                                                     deadline)
             if result is not None:
                 return result
 
-    def _dual(self, movable, iterations, max_iterations, cutoff, deadline):
-        """Bounded dual simplex from the current basis, made dual feasible.
+    def _phase_one(self, iterations, max_iterations, deadline):
+        """Make the basis dual feasible by solving the auxiliary problem:
+        zero right-hand sides, boxed columns fixed at 0, columns bounded
+        below only in [0, 1], above only in [-1, 0], free ones in [-1, 1].
 
-        Returns (result, iterations); result None hands the now primal
-        feasible basis to the primal phase 2.
+        Returns (result, iterations); result None hands the basis, now dual
+        feasible for the LP, back to phase 2.
         """
+        lower, upper, rhs = self.lower, self.upper, self.rhs
+        unboxed = ~(np.isfinite(lower) & np.isfinite(upper))
+        self.lower = np.where(np.isfinite(lower), 0.0, -1.0)
+        self.upper = np.where(np.isfinite(upper), 0.0, 1.0)
+        self.rhs = np.zeros(self.m)
+        self.status[self.status == NB_FREE] = NB_LOWER
+        self.x = self._recompute_x()
+        result, iterations = self._dual(iterations, max_iterations, None, deadline)
+        self.lower, self.upper, self.rhs = lower, upper, rhs
+        back = unboxed & (self.status != BASIC)
+        self.status[back] = _initial_status(lower[back], upper[back])
+        self.x = self._recompute_x()
+        if result.status != "optimal":          # stalled or interrupted
+            return self._result(result.status, iterations), iterations
+        self._price()
+        if self._make_dual_feasible((upper - lower) > EPS_PIVOT) is not None:
+            return None, iterations
+        # a ray of negative cost: the LP is unbounded if it is feasible at all
+        cost, self.cost = self.cost, np.zeros(self.total)
+        result, iterations = self._dual(iterations, max_iterations, None, deadline)
+        self.cost = cost
+        if result.status == "optimal":
+            return self._result("unbounded", iterations), iterations
+        return result, iterations
+
+    def _dual(self, iterations, max_iterations, cutoff, deadline):
+        """Bounded dual simplex from the current basis, made dual feasible by
+        bound flips, under the bounds in force.
+
+        Returns (result, iterations); result None when only phase 1 can make
+        the basis dual feasible.
+        """
+        movable = (self.upper - self.lower) > EPS_PIVOT
         span = np.where(movable, self.upper - self.lower, 0.0)
         weights = np.ones(self.m)       # dual devex reference weights, per row
         unit = np.zeros(self.m)
         degenerate_run = 0
         self.reduced = None
         checked = False                 # x and d recomputed since the last pivot
+        fresh = False                   # x recomputed, and no pivot or flip since
         while True:
             if deadline is not None and time.monotonic() >= deadline:
                 return self._result("interrupted", iterations), iterations
@@ -512,15 +540,17 @@ class _Run:
                 return self._result("stalled", iterations), iterations
             if self.reduced is None:            # refactorized since last pivot
                 self._price()
-                self._make_dual_feasible(movable)
+                fresh = False
+                if self._make_dual_feasible(movable) is None:
+                    return None, iterations
             trusted = checked or self.factors.k == 0
-            if cutoff is not None and self.cost is self.ctx.cost:
+            if cutoff is not None:
                 objective = float(self.cost @ self.x) + self.ctx.constant
                 if objective >= cutoff:
                     if trusted:
                         return self._result("cutoff", iterations, objective), iterations
-                    self._confirm()
-                    self._make_dual_feasible(movable)
+                    if self._confirm(movable) is None:
+                        return None, iterations
                     checked = True
                     continue
 
@@ -531,14 +561,21 @@ class _Run:
             bland = degenerate_run >= _BLAND_AFTER
             if bland:
                 rows = (excess > EPS_FEAS).nonzero()[0]
-                if not rows.size:
-                    return None, iterations
-                r = int(rows[basis[rows].argmin()])
+                r = int(rows[basis[rows].argmin()]) if rows.size else -1
             else:
                 r = int(np.where(excess > EPS_FEAS, excess * excess / weights,
                                  -1.0).argmax())
                 if not excess[r] > EPS_FEAS:
-                    return None, iterations     # no row is infeasible
+                    r = -1
+            if r < 0:                           # no row is infeasible
+                if trusted:
+                    x = self.x if fresh else None
+                    return self._result("optimal", iterations, x=x), iterations
+                flips = self._confirm(movable)
+                if flips is None:
+                    return None, iterations
+                checked, fresh = True, not flips
+                continue
             leaving = int(basis[r])
             sigma = 1.0 if xb[r] < lb_b[r] else -1.0    # +1: leaves at its lower
 
@@ -556,8 +593,8 @@ class _Run:
             if found is None:
                 if trusted:
                     return self._result("infeasible", iterations), iterations
-                self._confirm()
-                self._make_dual_feasible(movable)
+                if self._confirm(movable) is None:
+                    return None, iterations
                 checked = True
                 continue
             pick, flips, step = found
@@ -596,122 +633,9 @@ class _Run:
                 weights[:] = 1.0
 
             iterations += 1
-            checked = False
+            checked = fresh = False
             degenerate_run = degenerate_run + 1 if step <= EPS_COST else 0
             if self.factors.update(r, w):
-                self._refactorize()
-
-    def _primal(self, movable, iterations, max_iterations, deadline):
-        """Primal phase 2 from a primal feasible basis.
-
-        Returns (result, iterations); result None hands the basis back to
-        the dual when it is found primal infeasible beyond EPS_FEAS.
-        """
-        degenerate_run = 0
-        confirmed = False       # a terminal check already recomputed x and d and
-                                # only noise-level steps happened since
-        fresh = False           # x recomputed by that check, and no step since
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                return self._result("interrupted", iterations), iterations
-            if iterations > max_iterations:
-                return self._result("stalled", iterations), iterations
-
-            xb = self.x[self.basis]
-            lb_b, ub_b = self.lower[self.basis], self.upper[self.basis]
-            if np.any((xb < lb_b - EPS_FEAS) | (xb > ub_b + EPS_FEAS)):
-                return None, iterations
-            if self.reduced is None:
-                self._price()
-
-            reduced = self.reduced
-            lo_ok, hi_ok = self._sides(movable)
-            eligible_up = lo_ok & (reduced < -EPS_COST)
-            candidates = eligible_up | (hi_ok & (reduced > EPS_COST))
-
-            if not candidates.any():
-                if self.factors.k > 0 and not confirmed:
-                    # if the recomputed values only resurface sub-tolerance
-                    # noise, the verdict is accepted next time instead of
-                    # livelocking
-                    self._confirm()
-                    confirmed = fresh = True
-                    continue
-                x = self.x if fresh else None
-                return self._result("optimal", iterations, x=x), iterations
-
-            if degenerate_run >= _BLAND_AFTER:
-                entering = int(np.flatnonzero(candidates)[0])
-            else:
-                score = np.where(candidates, reduced * reduced / self.weights, -1.0)
-                entering = int(np.argmax(score))
-            sigma = 1.0 if eligible_up[entering] else -1.0
-
-            w = self._ftran_column(entering)
-            move = -sigma * w
-
-            # two-pass (Harris) ratio test over the basics that move
-            idx = np.flatnonzero(np.abs(move) > _MIN_PIVOT)
-            rising = move[idx] > 0
-            gap = np.where(rising, ub_b[idx] - xb[idx], xb[idx] - lb_b[idx])
-            magnitude = np.abs(move[idx])
-            ratios = np.maximum(gap, 0.0) / magnitude
-            relaxed = (gap + EPS_FEAS) / magnitude
-            own_range = self.upper[entering] - self.lower[entering]
-            room = float(relaxed.min()) if idx.size else np.inf
-
-            if np.isinf(room) and np.isinf(own_range):
-                return self._result("unbounded", iterations), iterations
-
-            iterations += 1
-            fresh = False
-            if own_range <= room:
-                step = own_range
-                degenerate_run = degenerate_run + 1 if step <= EPS_PIVOT else 0
-                if step > 1e-7:
-                    confirmed = False
-                self.x[self.basis] = xb + move * own_range
-                self.x[entering] = (self.upper[entering] if sigma > 0
-                                    else self.lower[entering])
-                self.status[entering] = NB_UPPER if sigma > 0 else NB_LOWER
-                continue
-
-            admissible = np.flatnonzero(ratios <= room)
-            if degenerate_run >= _BLAND_AFTER:
-                pick = int(admissible[np.argmin(self.basis[idx[admissible]])])
-            else:
-                pick = int(admissible[np.argmax(magnitude[admissible])])
-            leave_pos = int(idx[pick])
-            pivot = w[leave_pos]
-            step = float(ratios[pick])
-            degenerate_run = degenerate_run + 1 if step <= EPS_PIVOT else 0
-            if step > 1e-7:
-                confirmed = False       # real progress: future checks re-verify
-
-            leaving = int(self.basis[leave_pos])
-            self.x[self.basis] = xb + move * step
-            self.x[entering] = self.x[entering] + sigma * step
-            self.x[leaving] = self.upper[leaving] if rising[pick] else self.lower[leaving]
-            self.status[leaving] = NB_UPPER if rising[pick] else NB_LOWER
-            self.status[entering] = BASIC
-            self.basis[leave_pos] = entering
-
-            # price update along the pivot row keeps reduced costs current;
-            # row r of the new inverse is that of the old over the pivot
-            unit = np.zeros(self.m)
-            unit[leave_pos] = 1.0 / pivot
-            alpha = self._times_cols(self.factors.btran(unit))
-            d_q = self.reduced[entering]
-            self.reduced -= d_q * alpha
-            self.reduced[entering] = 0.0
-            self.reduced[leaving] = -d_q / pivot
-            gamma_q = max(self.weights[entering], 1.0)
-            np.maximum(self.weights, np.square(alpha) * gamma_q, out=self.weights)
-            self.weights[leaving] = max(gamma_q / (pivot * pivot), 1.0)
-            if self.weights.max() > 1e8:
-                self.weights[:] = 1.0
-
-            if self.factors.update(leave_pos, w):
                 self._refactorize()
 
     def _result(self, status, iterations, objective=None, x=None) -> LpResult:

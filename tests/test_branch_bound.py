@@ -116,8 +116,13 @@ class TestStatuses:
         assert milp.evaluate(model, res.x).feasible
 
     def test_gap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SolveOptions(gap=0.0)
+        for bad in ({"gap": 0.0}, {"gap": -1.0}, {"gap": math.nan},
+                    {"node_limit": -1}, {"time_limit": -1.0},
+                    {"time_limit": math.nan}):
+            with pytest.raises(ValueError):
+                SolveOptions(**bad)
+        # zero limits stay valid: the planner passes what is left of its time
+        SolveOptions(node_limit=0, time_limit=0.0)
 
     def test_interrupted_node_returns_to_the_pool(self, monkeypatch):
         model, _ = build_model(random_scaling_scenario(0, 5, 7, 5, 3))

@@ -87,6 +87,14 @@ class TestPlan:
         bad.write_text(json.dumps(doc))
         assert main(["plan", str(bad), "-o", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("flag", [
+        ["--gap", "0"], ["--gap", "-1"], ["--gap", "nan"], ["--time-limit", "nan"],
+        ["--time-limit", "-1"], ["--nodes-limit", "-1"]])
+    def test_bad_solver_option_exits_two(self, small_path, tmp_path, capsys, flag):
+        assert main(["plan", str(small_path), "-o", str(tmp_path / "o"), *flag]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
     def test_plan_round_trips(self, small_path, tmp_path):
         scenario, _ = load_scenario(small_path.read_text())
         outcome = solve_scenario(scenario)

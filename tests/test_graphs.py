@@ -160,3 +160,28 @@ class TestGraphInvariants:
         assert g.edge_location(1, 2) in succ       # continue without stopping
         assert g.edge_location(1, 0) in succ       # immediate turn-around
         assert g.node_index("a") not in succ
+
+
+class TestLabels:
+    def setup_method(self):
+        data = EdgeData(1.0, 0.0, 0.0)
+        self.g = Graph(["s", "m", "t"], [(2, 0, data), (0, 1, data), (1, 2, data)])
+
+    def test_location_labels_round_trip(self):
+        for loc in locations(self.g):
+            assert self.g.location_index(self.g.location_label(loc)) == loc
+
+    def test_edge_labels_name_either_orientation(self):
+        for ue, (a, b, _) in enumerate(self.g.uedges):
+            label = self.g.edge_label(ue)
+            assert label == f"{self.g.node_labels[a]}-{self.g.node_labels[b]}"
+            tail, head = label.split("-")
+            assert self.g.edge_index(label) == self.g.edge_index(f"{head}-{tail}") == ue
+        assert self.g.edge_label(self.g.edge_index("t-s")) == "s-t"
+
+    def test_unknown_labels_are_rejected(self):
+        for lookup, label in ((self.g.edge_index, "s-s"), (self.g.edge_index, "s-x"),
+                              (self.g.location_index, "x"),
+                              (self.g.location_index, "s->s")):
+            with pytest.raises(ValidationError):
+                lookup(label)

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,7 +358,7 @@ class TestDualReSolve:
                             lower=lower, upper=upper)
         status, objective = highs(prob, lower, upper)
         assert warm.status == cold.status == status
-        # the primal phase 2 after the dual confirms optimality without a pivot
+        # every pivot of the solve is one of its last dual run
         assert warm.iterations == dual_calls[-1]
         if status == "optimal":
             assert warm.objective == pytest.approx(objective, abs=1e-6)
@@ -451,9 +452,10 @@ class TestColdStart:
     @pytest.mark.parametrize("seed", [*range(60), 1572])
     def test_shifted_costs_give_the_highs_verdict(self, seed):
         # 51 of seeds 0-59 start with a column unboxed on the side its cost
-        # favours, which the dual can only start from with a cost shift:
-        # 15 optimal, 22 infeasible and 14 unbounded.  Seed 1572 is feasible
-        # and unbounded, and HiGHS reports it with its infeasible status.
+        # favours, which no bound flip can make dual feasible, so the solve
+        # goes through phase 1: 15 optimal, 22 infeasible and 14 unbounded.
+        # Seed 1572 is feasible and unbounded, and HiGHS reports it with its
+        # infeasible status.
         prob = random_general_lp(seed)
         res = LpSolver(prob).solve()
         status, objective = highs(prob, prob.lower, prob.upper)
@@ -470,6 +472,105 @@ class TestColdStart:
         res = LpSolver(prob).solve(max_iterations=0)
         assert res.status == "optimal" and res.iterations == 0
         assert list(res.x) == [4.0, -1.0, 2.0]
+
+
+@pytest.fixture
+def phase_one_calls(monkeypatch):
+    """Records every phase 1: the pivots made before it, whether its start
+    basis holds a structural column, and its result."""
+    calls = []
+    phase_one = simplex._Run._phase_one
+
+    def recorded(run, iterations, *args):
+        call = {"after": iterations, "structural": bool(np.any(run.basis < run.n))}
+        calls.append(call)
+        call["result"], iterations = phase_one(run, iterations, *args)
+        return call["result"], iterations
+
+    monkeypatch.setattr(simplex._Run, "_phase_one", recorded)
+    return calls
+
+
+def with_costs(prob, seed):
+    """prob under another random cost vector."""
+    rng = np.random.default_rng(seed)
+    return LpProblem(np.round(rng.uniform(-5, 5, len(prob.objective)), 2),
+                     prob.rows, prob.senses, prob.rhs, prob.lower, prob.upper)
+
+
+def assert_basis_of_the_lp(prob, basis):
+    """A nonbasic column unboxed in prob rests at its finite bound or is
+    free, as it does in the LP and not in the auxiliary problem."""
+    solver = LpSolver(prob)
+    lower = np.concatenate([prob.lower, solver.slack_lower])
+    upper = np.concatenate([prob.upper, solver.slack_upper])
+    unboxed = (basis.status != BASIC) & ~(np.isfinite(lower) & np.isfinite(upper))
+    assert np.array_equal(basis.status[unboxed],
+                          simplex._initial_status(lower, upper)[unboxed])
+
+
+class TestPhaseOne:
+    @pytest.mark.parametrize("seed", [4, 9, 16, 28, 45, 51])
+    def test_warm_start_under_other_costs_gives_the_highs_verdict(
+            self, seed, phase_one_calls):
+        # the optimal basis of one cost vector has columns of the wrong sign
+        # under another that cannot flip, so phase 1 starts from it, before
+        # any pivot: 4 and 28 are unbounded, the others optimal
+        prob = random_general_lp(seed)
+        base = LpSolver(prob).solve()
+        assert base.status == "optimal"
+        other = with_costs(prob, seed)
+        phase_one_calls.clear()
+        res = LpSolver(other).solve(
+            warm_start=Basis(base.basis.basic, base.basis.status))
+        assert phase_one_calls[0]["after"] == 0 and phase_one_calls[0]["structural"]
+        status, objective = highs(other, other.lower, other.upper)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == pytest.approx(objective, abs=1e-6)
+            assert_rows_hold(other, res.x)
+            assert np.all(res.x >= other.lower - 1e-6)
+            assert np.all(res.x <= other.upper + 1e-6)
+            assert_basis_of_the_lp(other, res.basis)
+
+    @pytest.mark.parametrize("seed", [0, 10, 36])
+    def test_iteration_limit_in_phase_one_reports_stalled(self, seed, phase_one_calls):
+        # 0 stalls in the auxiliary problem; 10 (unbounded) and 36
+        # (infeasible) also in the run with zero costs
+        prob = random_general_lp(seed)
+        full = LpSolver(prob).solve()
+        phase_one_calls.clear()
+        for limit in range(full.iterations):
+            res = LpSolver(prob).solve(max_iterations=limit)
+            assert res.status == "stalled"
+            assert res.x is None and res.objective is None
+            assert_basis_of_the_lp(prob, res.basis)
+        assert any(call["result"] is not None and call["result"].status == "stalled"
+                   for call in phase_one_calls)
+
+    @pytest.mark.parametrize("seed, passes_at", [(0, 1), (10, 1), (10, 2), (36, 2)])
+    def test_deadline_passing_in_phase_one_interrupts(
+            self, seed, passes_at, monkeypatch, phase_one_calls):
+        # the deadline passes as dual run number passes_at starts: 1 is the
+        # auxiliary problem, 2 the run with zero costs
+        clock = {"now": 0.0}
+        monkeypatch.setattr(simplex, "time", SimpleNamespace(monotonic=lambda: clock["now"]))
+        dual, runs = simplex._Run._dual, []
+
+        def counted(run, *args):
+            if len(runs) == passes_at:
+                clock["now"] = 2.0
+            runs.append(run.cost is run.ctx.cost)
+            return dual(run, *args)
+
+        monkeypatch.setattr(simplex._Run, "_dual", counted)
+        prob = random_general_lp(seed)
+        res = LpSolver(prob).solve(deadline=1.0)
+        assert runs[passes_at:] == [passes_at == 1]
+        assert phase_one_calls[-1]["result"] is res
+        assert res.status == "interrupted"
+        assert res.x is None and res.objective is None
+        assert_basis_of_the_lp(prob, res.basis)
 
 
 class TestResidualConfirm:
