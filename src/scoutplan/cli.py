@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import report
 from .branch_bound import SolveOptions
-from .executor import run_ablation, run_mission
+from .executor import VARIANTS, run_ablation, run_mission, variant_scenario
 from .formulation import (
     build_model,
     compact_variable_count,
@@ -79,9 +80,7 @@ def cmd_plan(args) -> int:
         (out / "model.mps").write_text(export_mps(model))
         print(f"wrote {out / 'model.mps'}")
         return OK
-    count = (compact_variable_count(scenario) if args.count_mode == "compact"
-             else paper_parity_variable_count(scenario))
-    print(f"decision variables ({args.count_mode}): {count}")
+    print(f"decision variables (compact): {compact_variable_count(scenario)}")
     outcome = solve_scenario(scenario, args.options)
     result = outcome.result
     if result.status == "infeasible":
@@ -133,13 +132,8 @@ def cmd_ablate(args) -> int:
         return INVALID
     out = _outdir(args)
     if args.variant:
-        from .executor import variant_scenario
-        log = run_mission(
-            variant_scenario(scenario, args.variant), truth,
-            args.options,
-            inspection_decay=(args.variant != "scouts-nodecay"),
-        )
-        logs = {args.variant: log}
+        logs = {args.variant: run_mission(variant_scenario(scenario, args.variant),
+                                          truth, args.options)}
     else:
         logs = run_ablation(scenario, truth, args.options)
     rows = []
@@ -179,9 +173,7 @@ def cmd_sweep_beta(args) -> int:
     per_edge = {ue: [] for ue in range(len(g.uedges))}
     totals = []
     for beta in betas:
-        from dataclasses import replace
-        swept = replace(scenario, optimism=beta)
-        log = run_mission(swept, truth, args.options)
+        log = run_mission(replace(scenario, optimism=beta), truth, args.options)
         counts = report.scout_visit_counts(
             scenario, [e for s in log.steps for e in s.excursions])
         for ue in per_edge:
@@ -227,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--export-mps", action="store_true",
                    help="write the model in MPS format and skip solving")
-    p.add_argument("--count-mode", default="compact",
-                   choices=["compact", "paper"],
-                   help="variable counting mode used in diagnostics")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="receding-horizon mission")
@@ -238,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run the four ablation variants")
     common(p)
-    p.add_argument("--variant", default=None,
-                   choices=["weights", "uncertainty", "scouts-nodecay", "full"],
+    p.add_argument("--variant", default=None, choices=VARIANTS,
                    help="restrict to one variant (default: all four)")
     p.set_defaults(func=cmd_ablate)
 

@@ -5,7 +5,8 @@ horizon under current beliefs, executes the first carrier move together with
 its scout excursions, collects exact observations on every edge the scouts
 crossed, updates beliefs and repeats.  Observed uncertainty drops to zero and
 regrows linearly over the decay horizon, modeling an environment that keeps
-changing after a look.
+changing after a look, unless the scenario's inspection_decay is off (the
+scouts-nodecay arm).
 
 The loop itself is sequential; only the solver call inside a step may use
 whatever concurrency the branch-and-bound contract allows.
@@ -118,8 +119,7 @@ def _goals_met(scenario: Scenario, positions) -> bool:
 
 
 def run_mission(scenario: Scenario, truth: GroundTruth,
-                solver: SolveOptions | None = None,
-                inspection_decay: bool = True) -> MissionLog:
+                solver: SolveOptions | None = None) -> MissionLog:
     """Execute one full receding-horizon mission against a ground truth.
 
     The solver failing or the remaining horizon going infeasible aborts with
@@ -149,8 +149,7 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
             scenario.horizon - now + 1,
         )
         t0 = time.monotonic()
-        outcome = solve_scenario(current, solver, inspection_decay=inspection_decay,
-                                 seed_plan=tail)
+        outcome = solve_scenario(current, solver, seed_plan=tail)
         seconds = time.monotonic() - t0
         result = outcome.result
         if result.status == "infeasible":
@@ -188,7 +187,7 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
         launch = sum(scenario.launch_cost(exc.node) for exc in flown)
 
         belief = update_belief(belief, observed, g, scenario.decay_horizon,
-                               regrow=inspection_decay)
+                               regrow=scenario.inspection_decay)
         tail = (
             tuple(route[1:] for route in plan.carrier_routes),
             tuple(Excursion(e.node, e.step - 1, e.walk)
@@ -231,7 +230,9 @@ def variant_scenario(scenario: Scenario, variant: str) -> Scenario:
         return replace(scenario, scout_count=0, term_weights=weights)
     if variant == "uncertainty":
         return replace(scenario, scout_count=0)
-    if variant in ("scouts-nodecay", "full"):
+    if variant == "scouts-nodecay":
+        return replace(scenario, inspection_decay=False)
+    if variant == "full":
         return scenario
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -244,10 +245,5 @@ def run_ablation(scenario: Scenario, truth: GroundTruth,
     uncertainty: prices uncertainty, still no scouts; scouts-nodecay: scouts
     but inspections never expire; full: the complete algorithm.
     """
-    logs = {}
-    for variant in VARIANTS:
-        logs[variant] = run_mission(
-            variant_scenario(scenario, variant), truth, solver,
-            inspection_decay=(variant != "scouts-nodecay"),
-        )
-    return logs
+    return {variant: run_mission(variant_scenario(scenario, variant), truth, solver)
+            for variant in VARIANTS}

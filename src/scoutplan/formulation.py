@@ -16,6 +16,11 @@ scout_edge flag set.  Integer points satisfy it already; it cuts off
 fractional ones and lifts the LP bound (ablation8's root from 253.61 to
 273.46).
 
+A PlanVars records the scenario it was built from, so reading a solution
+back needs only the PlanVars.  Inspection credit follows the scenario's
+inspection_decay setting through credit_window, which both the
+inspect_credit rows and plan_to_assignment read.
+
 build_model and extract_plan are pure functions of their inputs and safe to
 call concurrently on shared scenarios.
 """
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +53,16 @@ def decay_coefficients(decay_horizon: int) -> list[float]:
     return [(h - a + 1) / (h * a) for a in range(1, h + 1)]
 
 
+def credit_window(scenario: Scenario, t: int) -> list[tuple[int, float]]:
+    """(t_h, credit) of the earlier steps whose inspections count at step t:
+    the decay window, or with inspection_decay off every step at full credit."""
+    if not scenario.inspection_decay:
+        return [(t_h, 1.0) for t_h in range(1, t)]
+    credit = decay_coefficients(scenario.decay_horizon)
+    return [(t_h, credit[t - t_h - 1])
+            for t_h in range(max(t - scenario.decay_horizon, 1), t)]
+
+
 @dataclass(frozen=True)
 class PlanVars:
     """Bidirectional index between (entity, location, time) tuples and variable ids.
@@ -64,9 +80,10 @@ class PlanVars:
       inspected[(ue, t)]       t in [1, n_T-2]
 
     cost_terms holds every objective term as (StepCost field, t, vid, coef);
-    vid is None for a constant term.
+    vid is None for a constant term.  scenario is the model's source.
     """
 
+    scenario: Scenario = field(repr=False, compare=False)
     moved: dict
     carrier_at: dict
     carrier_edge: dict
@@ -79,8 +96,11 @@ class PlanVars:
     inspected: dict
     reverse: dict
     cost_terms: list
-    # plan_to_assignment's index per (id(scenario), inspection_decay)
-    assignment_index: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def assignment_index(self) -> _AssignmentIndex:
+        """plan_to_assignment's index, built on first use."""
+        return _AssignmentIndex(self)
 
 
 def compact_variable_count(scenario: Scenario) -> int:
@@ -106,12 +126,8 @@ def paper_parity_variable_count(scenario: Scenario) -> int:
     return n_t * (1 + n_l + n_e + n_l * n_tau + 5 * n_e + n_v)
 
 
-def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Model, PlanVars]:
-    """Translate a scenario into its MILP.
-
-    With inspection_decay off (ablation support) an inspected edge keeps full
-    inspection credit for the rest of the horizon instead of decaying.
-    """
+def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
+    """Translate a scenario into its MILP."""
     g = scenario.graph
     n_t, n_tau = scenario.horizon, scenario.scout_steps
     n_a, n_k = scenario.carrier_count, scenario.scout_count
@@ -138,7 +154,7 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
         dirs_of[g.uedge_of_location(loc)].append(loc)
 
     model = Model(name="teamplan")
-    pv = PlanVars({}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [])
+    pv = PlanVars(scenario, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [])
 
     def new_var(family: str, key, kind, lower, upper, name) -> int:
         vid = model.add_var(kind, lower, upper, name)
@@ -333,20 +349,13 @@ def build_model(scenario: Scenario, inspection_decay: bool = True) -> tuple[Mode
                 model.add_constraint(expr, Sense.GE, 0.0,
                                      f"inspected_scouted[{ue},{t}]")
 
-    credit = decay_coefficients(scenario.decay_horizon)
     for t in range(1, n_t + 1):
+        window = credit_window(scenario, t)
         for ue in uedges:
             expr = LinExpr({pv.inspect_ratio[(ue, t)]: 1.0})
-            if scouts:
-                if inspection_decay:
-                    past = range(max(t - scenario.decay_horizon, 1), t)
-                else:
-                    past = range(1, t)
-                for t_h in past:
-                    if (ue, t_h) not in pv.inspected:
-                        continue
-                    coeff = credit[t - t_h - 1] if inspection_decay else 1.0
-                    expr.add_term(pv.inspected[(ue, t_h)], -coeff)
+            for t_h, credit in window:
+                if (ue, t_h) in pv.inspected:
+                    expr.add_term(pv.inspected[(ue, t_h)], -credit)
             model.add_constraint(expr, Sense.LE, 0.0, f"inspect_credit[{ue},{t}]")
 
     return model, pv
@@ -419,12 +428,13 @@ def _decompose(counts_at, start_positions, steps, successors, context):
     return [tuple(route) for route in routes]
 
 
-def extract_plan(solution, plan_vars: PlanVars, scenario: Scenario) -> Plan:
+def extract_plan(solution, plan_vars: PlanVars) -> Plan:
     """Flow-decompose a feasible solution into unit carrier routes and scout
     excursions, with deterministic tie-breaking."""
+    pv = plan_vars
+    scenario = pv.scenario
     g = scenario.graph
     n_t, n_tau = scenario.horizon, scenario.scout_steps
-    pv = plan_vars
 
     def count(family, key) -> int:
         mapping = getattr(pv, family)
@@ -478,7 +488,8 @@ class _AssignmentIndex:
     n_pairs stands for every pair that no scout can mark.
     """
 
-    def __init__(self, pv: PlanVars, scenario: Scenario, inspection_decay: bool):
+    def __init__(self, pv: PlanVars):
+        scenario = pv.scenario
         g = scenario.graph
         uedge = [g.uedge_of_location(loc) for loc in range(g.n_nodes, g.n_locations)]
         u_hat = [scenario.edge_uncertainty(ue) for ue in range(len(g.uedges))]
@@ -512,18 +523,16 @@ class _AssignmentIndex:
 
         # inspect_ratio[(ue, t)]: min(1, the credits of the inspected steps in
         # its window), summed in ascending step order
-        credit = decay_coefficients(scenario.decay_horizon)
         self.inspected = np.array(list(pv.inspected.values()), dtype=np.intp)
         column_of = {key: i for i, key in enumerate(pv.inspected)}
         rows, cols, weights = [], [], []
         for i, (ue, t) in enumerate(pv.inspect_ratio):
-            first = max(t - scenario.decay_horizon, 1) if inspection_decay else 1
-            for t_h in range(first, t):
+            for t_h, credit in credit_window(scenario, t):
                 col = column_of.get((ue, t_h))
                 if col is not None:
                     rows.append(i)
                     cols.append(col)
-                    weights.append(credit[t - t_h - 1] if inspection_decay else 1.0)
+                    weights.append(credit)
         self.ratio = np.array(list(pv.inspect_ratio.values()), dtype=np.intp)
         self.credit_row = np.array(rows, dtype=np.intp)
         self.credit_col = np.array(cols, dtype=np.intp)
@@ -549,21 +558,15 @@ class _AssignmentIndex:
         self.unc_scale = np.array(scale, dtype=float)
 
 
-def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars,
-                       scenario: Scenario, inspection_decay: bool = True):
+def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
     """Full variable assignment realizing a plan, with every derived series
     (movement/edge flags, inspections, inspection ratios, uncertainty slacks)
     at its cost-minimal value.  Feasible by construction for structurally
     valid trajectories; useful as a warm incumbent and in tests.  The index
-    of the derived families is built on the first call for a plan_vars,
-    scenario and inspection_decay, and kept on plan_vars."""
+    of the derived families is built on the first call and kept on
+    plan_vars."""
     pv = plan_vars
-    key = (id(scenario), inspection_decay)
-    cached = pv.assignment_index.get(key)
-    if cached is None or cached[0] is not scenario:
-        cached = (scenario, _AssignmentIndex(pv, scenario, inspection_decay))
-        pv.assignment_index[key] = cached
-    index = cached[1]
+    index = pv.assignment_index
     x = np.zeros(len(pv.reverse))
 
     for route in carrier_routes:
@@ -594,13 +597,14 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars,
 _TIE_TOL = 1e-9             # relaxation values this close to a tie count as tied
 
 
-def heuristic_plan_from_relaxation(x, plan_vars: PlanVars, scenario: Scenario):
+def heuristic_plan_from_relaxation(x, plan_vars: PlanVars):
     """Round a fractional relaxation into a structurally valid plan by greedy
     largest-mass flow following (id order breaking ties).  Returns
     (carrier_routes, scout_excursions)."""
+    pv = plan_vars
+    scenario = pv.scenario
     g = scenario.graph
     n_t, n_tau = scenario.horizon, scenario.scout_steps
-    pv = plan_vars
 
     routes = [[loc] for loc in expand_starts(scenario)]
     for t in range(2, n_t + 1):

@@ -202,12 +202,12 @@ def assignment_vector(model: Model, assignment) -> np.ndarray:
     return np.array([assignment[i] for i in range(n)], dtype=float)
 
 
-def evaluate(model: Model, assignment, feas_tol: float = FEAS_TOL,
-             int_tol: float = INT_TOL) -> EvalResult:
+def evaluate(model: Model, assignment) -> EvalResult:
     """Objective value and all constraint/bound/integrality violations.
 
     assignment maps variable id to value, read by assignment_vector.
-    A non-finite value is a bound violation of infinite amount.  Violations
+    A violation counts when it exceeds FEAS_TOL (INT_TOL for integrality); a
+    non-finite value is a bound violation of infinite amount.  Violations
     come per variable in id order, bound before integrality, then per row.
     """
     arrays = model_arrays(model)
@@ -223,14 +223,14 @@ def evaluate(model: Model, assignment, feas_tol: float = FEAS_TOL,
                           np.where(arrays.senses == "G", -slack, np.abs(slack)))
 
     violations = []
-    for i in np.flatnonzero((bound_excess > feas_tol) | (fraction > int_tol)):
-        if bound_excess[i] > feas_tol:
+    for i in np.flatnonzero((bound_excess > FEAS_TOL) | (fraction > INT_TOL)):
+        if bound_excess[i] > FEAS_TOL:
             violations.append(Violation("bound", model.variables[i].name,
                                         float(bound_excess[i])))
-        if fraction[i] > int_tol:
+        if fraction[i] > INT_TOL:
             violations.append(Violation("integrality", model.variables[i].name,
                                         float(fraction[i])))
-    for i in np.flatnonzero(row_excess > feas_tol):
+    for i in np.flatnonzero(row_excess > FEAS_TOL):
         violations.append(Violation("constraint", model.constraints[i].name,
                                     float(row_excess[i])))
     return EvalResult(objective, tuple(violations))

@@ -9,8 +9,9 @@ across workers by the first robot's first move and combined by minimum.
 
 Indicator series are recomputed from trajectories: an edge counts as
 inspected when scouts actually crossed it inside the inspection-credit
-window, and the inspection ratio takes its maximal value, which is what any
-cost-minimizing solution achieves.
+window (any earlier step when the scenario's inspection_decay is off, each
+inspection then giving full credit), and the inspection ratio takes its
+maximal value, which is what any cost-minimizing solution achieves.
 """
 
 from __future__ import annotations
@@ -102,12 +103,13 @@ def evaluate_plan_cost(scenario: Scenario, carrier_routes, scout_excursions=()):
         if t <= n_t - 2
     }
     credit = decay_coefficients(scenario.decay_horizon)
+    decay = scenario.inspection_decay
 
     def inspect_ratio(ue: int, t: int) -> float:
         total = 0.0
-        for t_h in range(max(t - scenario.decay_horizon, 1), t):
+        for t_h in range(max(t - scenario.decay_horizon, 1) if decay else 1, t):
             if inspected.get((ue, t_h)):
-                total += credit[t - t_h - 1]
+                total += credit[t - t_h - 1] if decay else 1.0
         return min(1.0, total)
 
     breakdown = []

@@ -86,12 +86,12 @@ def _schedule_route(graph, path, stays):
     return tuple(route)
 
 
-def structured_candidate(scenario: Scenario, plan_vars: PlanVars,
-                         inspection_decay: bool = True) -> list:
+def structured_candidate(plan_vars: PlanVars) -> list:
     """Assignments of blob schedules, in enumeration order: every simple
     route and every wait placement, each without scouts and with scouts
     probing the route ahead at each stop.  Deterministic and unevaluated;
     empty when no schedule fits."""
+    scenario = plan_vars.scenario
     g = scenario.graph
     n_t = scenario.horizon
     if len(scenario.starts) != 1 or not g.is_node(scenario.starts[0][0]):
@@ -132,13 +132,11 @@ def structured_candidate(scenario: Scenario, plan_vars: PlanVars,
                 if ahead:
                     variants.append(tuple(ahead))
             for excursions in variants:
-                candidates.append(plan_to_assignment(routes, excursions, plan_vars,
-                                                     scenario, inspection_decay))
+                candidates.append(plan_to_assignment(routes, excursions, plan_vars))
     return candidates
 
 
 def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
-                   inspection_decay: bool = True,
                    seed_plan=None) -> PlanningOutcome:
     """Build and exactly solve one scenario, returning the extracted plan.
 
@@ -150,23 +148,20 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     """
     options = options or SolveOptions()
     t_start = time.monotonic()
-    model, plan_vars = build_model(scenario, inspection_decay=inspection_decay)
+    model, plan_vars = build_model(scenario)
 
     seeds = []
     if seed_plan is not None:
         routes, excursions = seed_plan
         try:
-            seeds.append(plan_to_assignment(routes, excursions, plan_vars, scenario,
-                                            inspection_decay=inspection_decay))
+            seeds.append(plan_to_assignment(routes, excursions, plan_vars))
         except KeyError:
             pass        # tail does not fit the current model; skip the seed
-    seeds += structured_candidate(scenario, plan_vars,
-                                  inspection_decay=inspection_decay)
+    seeds += structured_candidate(plan_vars)
 
     def round_root(x):
-        routes, excursions = heuristic_plan_from_relaxation(x, plan_vars, scenario)
-        return plan_to_assignment(routes, excursions, plan_vars, scenario,
-                                  inspection_decay=inspection_decay)
+        routes, excursions = heuristic_plan_from_relaxation(x, plan_vars)
+        return plan_to_assignment(routes, excursions, plan_vars)
 
     if options.time_limit is not None:
         spent = time.monotonic() - t_start
@@ -174,5 +169,5 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     result = solve_milp(model, options, seeds=seeds, round_root=round_root)
     plan = None
     if result.x is not None:
-        plan = extract_plan(result.x, plan_vars, scenario)
+        plan = extract_plan(result.x, plan_vars)
     return PlanningOutcome(result, model, plan_vars, plan)

@@ -55,6 +55,9 @@ class Scenario:
     term_weights: TermWeights = field(default_factory=TermWeights)
     starts: tuple[tuple[int, int], ...] = ()   # (location, count)
     goals: tuple[tuple[int, int], ...] = ()    # (location, min count)
+    # off in the scouts-nodecay ablation arm: inspection credit never expires
+    # and observations never regrow; in-process only, no file key
+    inspection_decay: bool = True
 
     def __post_init__(self):
         g = self.graph
@@ -175,9 +178,42 @@ _PARAM_KEYS = {"zeta", "xi", "lambda", "beta", "launch_scale", "term_weights"}
 
 
 def _require(mapping: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{context} must be an object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ParseError(f"{context}: unknown keys {sorted(unknown)}")
+
+
+def _key(mapping, key, context: str):
+    """mapping[key], or a ParseError naming the missing key."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ParseError(f"{context}: missing key {key!r}") from None
+
+
+def _list(mapping, key, context: str) -> list:
+    value = _key(mapping, key, context)
+    if not isinstance(value, list):
+        raise ParseError(f"{context}.{key} must be a list, got {value!r}")
+    return value
+
+
+def _number(mapping, key, context: str) -> float:
+    """A required number; booleans, strings and nulls are rejected."""
+    value = _key(mapping, key, context)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{context}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(mapping, key, context: str) -> int:
+    """A required integer; non-integral numbers are rejected, not truncated."""
+    value = _number(mapping, key, context)
+    if not value.is_integer():
+        raise ParseError(f"{context}.{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
@@ -193,14 +229,9 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    _require(doc, _TOP_KEYS, "top level")
-    for key in ("nodes", "edges", "team", "horizon", "params", "starts", "goals"):
-        if key not in doc:
-            raise ParseError(f"missing required key {key!r}")
+    _require(doc, _TOP_KEYS, "document")
 
-    labels = [str(lbl) for lbl in doc["nodes"]]
+    labels = [str(lbl) for lbl in _list(doc, "nodes", "document")]
     index = {lbl: i for i, lbl in enumerate(labels)}
     if len(index) != len(labels):
         raise ValidationError("duplicate node labels")
@@ -210,61 +241,58 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
             raise ValidationError(f"node label {lbl!r} contains '-'")
 
     edges = []
-    for i, entry in enumerate(doc["edges"]):
-        _require(entry, _EDGE_KEYS, f"edges[{i}]")
-        for key in ("a", "b", "w", "u_lower", "u_upper"):
-            if key not in entry:
-                raise ParseError(f"edges[{i}]: missing key {key!r}")
-        a, b = str(entry["a"]), str(entry["b"])
+    for i, entry in enumerate(_list(doc, "edges", "document")):
+        context = f"edges[{i}]"
+        _require(entry, _EDGE_KEYS, context)
+        a, b = str(_key(entry, "a", context)), str(_key(entry, "b", context))
         if a not in index or b not in index:
-            raise ValidationError(f"edges[{i}]: unknown endpoint {a!r} or {b!r}")
+            raise ValidationError(f"{context}: unknown endpoint {a!r} or {b!r}")
         data = EdgeData(
-            weight=float(entry["w"]),
-            unc_lower=float(entry["u_lower"]),
-            unc_upper=float(entry["u_upper"]),
-            team_discount=float(entry.get("r", 0.0)),
+            weight=_number(entry, "w", context),
+            unc_lower=_number(entry, "u_lower", context),
+            unc_upper=_number(entry, "u_upper", context),
+            team_discount=_number(entry, "r", context) if "r" in entry else 0.0,
         )
         edges.append((index[a], index[b], data))
     graph = Graph(labels, edges)
 
-    team = doc["team"]
+    team = _key(doc, "team", "document")
     _require(team, {"n_A", "n_K"}, "team")
-    hor = doc["horizon"]
+    hor = _key(doc, "horizon", "document")
     _require(hor, {"n_T", "n_tau"}, "horizon")
-    params = doc["params"]
+    params = _key(doc, "params", "document")
     _require(params, _PARAM_KEYS, "params")
 
     tw = params.get("term_weights", [1.0, 1.0, 1.0, 1.0])
     if not isinstance(tw, list) or len(tw) != 4:
         raise ParseError("params.term_weights must be a list of four weights")
-    weights = TermWeights(*(float(w) for w in tw))
+    weights = TermWeights(*(_number(tw, i, "params.term_weights") for i in range(4)))
 
-    def node_loc(entry: dict, i: int, keys: set[str], count_key: str) -> tuple[int, int]:
-        _require(entry, keys, f"entry {i}")
-        label = str(entry["node"])
-        if label not in index:
-            raise ValidationError(f"unknown node label {label!r}")
-        return index[label], int(entry[count_key])
+    def node_locs(section: str, count_key: str) -> tuple[tuple[int, int], ...]:
+        out = []
+        for i, entry in enumerate(_list(doc, section, "document")):
+            context = f"{section}[{i}]"
+            _require(entry, {"node", count_key}, context)
+            label = str(_key(entry, "node", context))
+            if label not in index:
+                raise ValidationError(f"unknown node label {label!r}")
+            out.append((index[label], _integer(entry, count_key, context)))
+        return tuple(out)
 
-    starts = tuple(
-        node_loc(s, i, {"node", "count"}, "count") for i, s in enumerate(doc["starts"])
-    )
-    goals = tuple(
-        node_loc(g, i, {"node", "min_count"}, "min_count")
-        for i, g in enumerate(doc["goals"])
-    )
+    starts = node_locs("starts", "count")
+    goals = node_locs("goals", "min_count")
 
     scenario = Scenario(
         graph=graph,
-        carrier_count=int(team["n_A"]),
-        scout_count=int(team["n_K"]),
-        horizon=int(hor["n_T"]),
-        scout_steps=int(hor["n_tau"]),
-        scout_cost_scale=float(params["zeta"]),
-        explore_weight=float(params["xi"]),
-        decay_horizon=int(params["lambda"]),
-        optimism=float(params["beta"]),
-        launch_scale=float(params["launch_scale"]),
+        carrier_count=_integer(team, "n_A", "team"),
+        scout_count=_integer(team, "n_K", "team"),
+        horizon=_integer(hor, "n_T", "horizon"),
+        scout_steps=_integer(hor, "n_tau", "horizon"),
+        scout_cost_scale=_number(params, "zeta", "params"),
+        explore_weight=_number(params, "xi", "params"),
+        decay_horizon=_integer(params, "lambda", "params"),
+        optimism=_number(params, "beta", "params"),
+        launch_scale=_number(params, "launch_scale", "params"),
         term_weights=weights,
         starts=starts,
         goals=goals,
@@ -272,8 +300,11 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
 
     truth = None
     if "ground_truth" in doc:
+        given = doc["ground_truth"]
+        if not isinstance(given, dict):
+            raise ParseError("ground_truth must be an object")
         traces: list[tuple[float, ...] | None] = [None] * len(graph.uedges)
-        for key, values in doc["ground_truth"].items():
+        for key in given:
             try:
                 idx = graph.edge_index(key)
             except ValidationError:
@@ -281,7 +312,9 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
                     f"ground_truth: unknown edge key {key!r}") from None
             if traces[idx] is not None:
                 raise ValidationError(f"ground_truth: duplicate edge key {key!r}")
-            traces[idx] = tuple(float(v) for v in values)
+            values = _list(given, key, "ground_truth")
+            traces[idx] = tuple(_number(values, t, f"ground_truth.{key}")
+                                for t in range(len(values)))
         for idx, trace in enumerate(traces):
             if trace is None:
                 raise ValidationError(

@@ -242,7 +242,7 @@ def test_criterion_9_round_trip(tiny_corpus, bundled):
     for case in tiny_corpus:
         if case.milp_status != "optimal":
             continue
-        plan = extract_plan(case.solution, case.plan_vars, case.scenario)
+        plan = extract_plan(case.solution, case.plan_vars)
         _, total = evaluate_plan_cost(case.scenario, plan)
         worst = max(worst, abs(total - case.milp_objective))
         carrier, scout = aggregate_counts(plan, case.scenario)

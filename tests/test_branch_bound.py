@@ -637,13 +637,13 @@ class TestIncumbentGate:
         # incumbent
         scenario = random_tiny_scenario(170)
         model, plan_vars = build_model(scenario)
-        assert planner.structured_candidate(scenario, plan_vars) == []
+        assert planner.structured_candidate(plan_vars) == []
         presolved = presolve(*model_to_lp(model))
         root = LpSolver(presolved.problem).solve()
         routes, excursions = heuristic_plan_from_relaxation(
-            presolved.expand(root.x), plan_vars, scenario)
+            presolved.expand(root.x), plan_vars)
         rounded = milp.evaluate(model, plan_to_assignment(routes, excursions,
-                                                          plan_vars, scenario))
+                                                          plan_vars))
         assert rounded.feasible
         result = planner.solve_scenario(scenario, SolveOptions(node_limit=1)).result
         assert result.status == "feasible" and result.nodes == 1

@@ -61,6 +61,23 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 2
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("team", "n_A", None), ("horizon", "n_T", 3.5), ("ground_truth", None, []),
+    ])
+    def test_malformed_document_exits_two(self, tmp_path, small_path, capsys,
+                                          section, key, value):
+        doc = json.loads(small_path.read_text())
+        if key is None:
+            doc[section] = value
+        elif value is None:
+            del doc[section][key]
+        else:
+            doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 2
 

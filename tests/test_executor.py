@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from scoutplan import (
@@ -9,6 +11,7 @@ from scoutplan import (
     update_belief,
     variant_scenario,
 )
+from scoutplan.executor import VARIANTS
 from scoutplan.graphs import EdgeData, Graph
 from scoutplan.scenario import Scenario
 
@@ -151,6 +154,10 @@ class TestAblation:
         assert unc.scout_count == 0
         assert unc.term_weights.uncertainty == sc.term_weights.uncertainty
         assert variant_scenario(sc, "full") == sc
+        nodecay = variant_scenario(sc, "scouts-nodecay")
+        assert nodecay == replace(sc, inspection_decay=False)
+        assert [v for v in VARIANTS
+                if not variant_scenario(sc, v).inspection_decay] == ["scouts-nodecay"]
         with pytest.raises(ValueError):
             variant_scenario(sc, "bogus")
 

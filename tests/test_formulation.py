@@ -141,7 +141,7 @@ class TestExtraction:
                             starts=((0, 1),), goals=((2, 1),))
         model, pv = build_model(sc)
         res = solve_milp(model)
-        plan = extract_plan(res.x, pv, sc)
+        plan = extract_plan(res.x, pv)
         assert len(plan.carrier_routes) == 1
         assert len(plan.carrier_routes[0]) == 4
         assert plan.carrier_routes[0][0] == 0
@@ -152,7 +152,7 @@ class TestExtraction:
                             goals=((2, 2),))
         model, pv = build_model(sc)
         res = solve_milp(model)
-        plan = extract_plan(res.x, pv, sc)
+        plan = extract_plan(res.x, pv)
         assert len(plan.carrier_routes) == 2
         assert plan.carrier_routes[0] == plan.carrier_routes[1]
 
@@ -160,7 +160,7 @@ class TestExtraction:
         sc = small_scenario(horizon=4, scout_steps=3)
         model, pv = build_model(sc)
         res = solve_milp(model)
-        plan = extract_plan(res.x, pv, sc)
+        plan = extract_plan(res.x, pv)
         for route in plan.carrier_routes:
             for a, b in zip(route, route[1:]):
                 assert b in sc.graph.successors[a]
@@ -175,7 +175,7 @@ class TestExtraction:
         res = solve_milp(model, SolveOptions())
         if res.status != "optimal":
             pytest.skip("infeasible random instance")
-        plan = extract_plan(res.x, pv, sc)
+        plan = extract_plan(res.x, pv)
         carrier, scout = aggregate_counts(plan, sc)
         for (loc, t), vid in pv.carrier_at.items():
             assert carrier.get((loc, t), 0) == round(res.x[vid])
@@ -186,7 +186,7 @@ class TestExtraction:
         sc = small_scenario(horizon=4, scout_steps=4)
         model, pv = build_model(sc)
         res = solve_milp(model)
-        plan = extract_plan(res.x, pv, sc)
+        plan = extract_plan(res.x, pv)
         assert plan.total_cost == pytest.approx(res.objective, abs=1e-9)
         assert sum(s.total for s in plan.breakdown) == pytest.approx(
             res.objective, abs=1e-9)
@@ -219,5 +219,5 @@ class TestRelaxationRounding:
         model, pv = build_model(sc)
         x = np.zeros(len(model.variables))
         x[pv.deployed[(0, 1)]] = deployed
-        _, excursions = heuristic_plan_from_relaxation(x, pv, sc)
+        _, excursions = heuristic_plan_from_relaxation(x, pv)
         assert sum(exc.step == 1 for exc in excursions) == launches

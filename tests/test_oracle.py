@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from scoutplan import (
@@ -67,6 +69,10 @@ class TestEvaluatePlanCost:
         # with credit 0.4, so uncertainty cost is (1 - 0.4) * 5 twice over
         assert steps[1].uncertainty_cost == pytest.approx(0.0)
         assert steps[2].uncertainty_cost == pytest.approx(2 * 0.6 * 5.0)
+        # without decay the step-1 inspection keeps full credit at step 3
+        steps, _ = evaluate_plan_cost(replace(sc, inspection_decay=False),
+                                      routes, excursions)
+        assert steps[2].uncertainty_cost == pytest.approx(0.0)
 
     def test_rejects_non_adjacent_move(self):
         sc = two_node_scenario()
@@ -147,7 +153,7 @@ class TestEnumerate:
 
 def assert_round_trip(scenario, plan_vars, x, objective):
     """extract_plan's breakdown equals evaluate_plan_cost field by field."""
-    plan = extract_plan(x, plan_vars, scenario)
+    plan = extract_plan(x, plan_vars)
     steps, total = evaluate_plan_cost(scenario, plan)
     assert total == pytest.approx(objective, abs=1e-9)
     assert plan.total_cost == pytest.approx(objective, abs=1e-9)
@@ -178,7 +184,7 @@ class TestRoundTrip:
     def assert_structured_seed_flies_scouts(sc):
         model, pv = build_model(sc)
         # the schedule the incumbent gate keeps: the first of the cheapest
-        checks = [(milp.evaluate(model, x), x) for x in structured_candidate(sc, pv)]
+        checks = [(milp.evaluate(model, x), x) for x in structured_candidate(pv)]
         check, x = min(((c, x) for c, x in checks if c.feasible),
                        key=lambda pair: pair[0].objective)
         plan = assert_round_trip(sc, pv, x, check.objective)
@@ -193,3 +199,31 @@ class TestRoundTrip:
     ])
     def test_scaling_structured_seed_flies_scouts(self, seed, size):
         self.assert_structured_seed_flies_scouts(random_scaling_scenario(seed, *size))
+
+
+class TestNoDecay:
+    def test_nodecay_model_matches_oracle(self):
+        # inspection credit that never expires: the solver's optimum equals
+        # the enumerated one, and the extracted plan prices to the objective
+        enumerated, differ = 0, []
+        for seed in range(200):
+            base = random_tiny_scenario(seed, horizon=4, scout_steps=4,
+                                        max_nodes=3, max_edges=3)
+            sc = replace(base, inspection_decay=False)
+            try:
+                oracle = enumerate_optimal(sc)
+            except ValueError:
+                continue        # beyond the enumeration guard
+            enumerated += 1
+            model, pv = build_model(sc)
+            res = solve_milp(model, SolveOptions())
+            assert res.status == oracle.status, seed
+            if res.status != "optimal":
+                continue
+            assert res.objective == pytest.approx(oracle.objective, abs=1e-6), seed
+            assert_round_trip(sc, pv, res.x, res.objective)
+            if abs(enumerate_optimal(base).objective - oracle.objective) > 1e-9:
+                differ.append(seed)
+        assert enumerated >= 150
+        # the setting matters on this corpus, so the check has teeth
+        assert differ

@@ -92,6 +92,51 @@ class TestLoader:
         with pytest.raises(ValidationError, match="scout_count"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("section, key", [
+        ("team", "n_A"), ("horizon", "n_T"), ("params", "zeta"), ("starts", "count"),
+    ])
+    def test_missing_required_key_rejected(self, section, key):
+        doc = json.loads(minimal_document())
+        entry = doc[section][0] if section == "starts" else doc[section]
+        del entry[key]
+        with pytest.raises(ParseError, match=f"missing key '{key}'"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("team", "n_A", 1.9, "an integer"), ("horizon", "n_T", 3.5, "an integer"),
+        ("params", "lambda", 2.2, "an integer"), ("starts", "count", 1.5, "an integer"),
+        ("team", "n_K", True, "a number"), ("horizon", "n_tau", "2", "a number"),
+        ("params", "zeta", None, "a number"), ("edges", "w", [10], "a number"),
+    ])
+    def test_non_numeric_field_rejected(self, section, key, value, kind):
+        doc = json.loads(minimal_document())
+        entry = doc[section][0] if section in ("starts", "edges") else doc[section]
+        entry[key] = value
+        with pytest.raises(ParseError, match=f"{key} must be {kind}"):
+            load_scenario(json.dumps(doc))
+
+    def test_integral_float_count_accepted(self):
+        doc = json.loads(minimal_document())
+        doc["horizon"]["n_T"] = 3.0
+        scenario, _ = load_scenario(json.dumps(doc))
+        assert scenario.horizon == 3 and isinstance(scenario.horizon, int)
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("team", [1, 0], "team must be an object"),
+        ("edges", 5, "document.edges must be a list"),
+        ("starts", {"node": "a"}, "document.starts must be a list"),
+    ])
+    def test_section_of_the_wrong_type_rejected(self, section, value, message):
+        doc = json.loads(minimal_document())
+        doc[section] = value
+        with pytest.raises(ParseError, match=message):
+            load_scenario(json.dumps(doc))
+
+    def test_inspection_decay_is_not_a_file_key(self):
+        scenario, _ = load_scenario(minimal_document())
+        assert scenario.inspection_decay
+        assert "inspection_decay" not in json.dumps(scenario_to_document(scenario))
+
     def test_team_discount_warning(self):
         doc = json.loads(minimal_document())
         doc["edges"][0]["r"] = 50.0
@@ -116,6 +161,17 @@ class TestGroundTruth:
         doc = json.loads(minimal_document())
         doc["ground_truth"] = {}
         with pytest.raises(ValidationError, match="missing"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("truth, message", [
+        ([[10.0, 10.0, 10.0]], "ground_truth must be an object"),
+        ({"a-b": 10.0}, "ground_truth.a-b must be a list"),
+        ({"a-b": [10.0, None, 10.0]}, "ground_truth.a-b.1 must be a number"),
+    ])
+    def test_malformed_truth_rejected(self, truth, message):
+        doc = json.loads(minimal_document())
+        doc["ground_truth"] = truth
+        with pytest.raises(ParseError, match=message):
             load_scenario(json.dumps(doc))
 
     def test_reversed_edge_key_accepted(self):
