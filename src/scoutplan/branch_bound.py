@@ -589,7 +589,5 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     best_bound = min(open_bound, incumbent_obj)
     gap = max(incumbent_obj - best_bound, 0.0)
     status = "optimal" if not limit_hit and gap <= options.gap else "feasible"
-    if not heap:
-        gap = min(gap, options.gap) if status == "optimal" else gap
     return MilpResult(status, incumbent_x, incumbent_obj, best_bound, gap, nodes,
                       **work)

@@ -18,8 +18,10 @@ fractional ones and lifts the LP bound (ablation8's root from 253.61 to
 
 A PlanVars records the scenario it was built from, so reading a solution
 back needs only the PlanVars.  Inspection credit follows the scenario's
-inspection_decay setting through credit_window, which both the
-inspect_credit rows and plan_to_assignment read.
+inspection_decay setting through credit_window.  Each derived variable
+(edge-used flags, inspections, inspection ratios, uncertainty slacks) is
+defined once: the statement that writes its defining row also records, in
+DerivedRules, the rule plan_to_assignment gives it its value by.
 
 build_model and extract_plan are pure functions of their inputs and safe to
 call concurrently on shared scenarios.
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,50 @@ def credit_window(scenario: Scenario, t: int) -> list[tuple[int, float]]:
             for t_h in range(max(t - scenario.decay_horizon, 1), t)]
 
 
+class DerivedRules:
+    """The cost-minimal value of each derived variable once the carrier and
+    scout counts are fixed.  build_model records each rule in the statement
+    that writes the variable's defining row:
+
+      flag   1 when any other variable of its row is positive (edge_used,
+             moved, scout_edge_used, inspectable); those are all counts
+      ratio  min(1, the summed credit of its inspected steps), summed in
+             ascending step order (inspect_credit)
+      slack  max(0, scale * (flag - ratio)) (unc_carrier, unc_scout)
+
+    build_model turns the tables into arrays once the model is complete.
+    """
+
+    def __init__(self):
+        self.flag, self.flag_row, self.flag_source = [], [], []
+        self.ratio, self.credit_row, self.credited, self.credit = [], [], [], []
+        self.slack, self.slack_flag, self.slack_ratio, self.scale = [], [], [], []
+
+    def add_flag(self, flag: int, row: LinExpr):
+        sources = [vid for vid in row.coeffs if vid != flag]
+        self.flag_row += [len(self.flag)] * len(sources)
+        self.flag_source += sources
+        self.flag.append(flag)
+
+    def add_ratio(self, ratio: int, credits: list[tuple[int, float]]):
+        """credits: (inspected, credit) in ascending step order."""
+        self.credit_row += [len(self.ratio)] * len(credits)
+        self.credited += [vid for vid, _ in credits]
+        self.credit += [credit for _, credit in credits]
+        self.ratio.append(ratio)
+
+    def add_slack(self, slack: int, flag: int, ratio: int, scale: float):
+        self.slack.append(slack)
+        self.slack_flag.append(flag)
+        self.slack_ratio.append(ratio)
+        self.scale.append(scale)
+
+    def freeze(self):
+        for name, table in vars(self).items():
+            kind = float if name in ("credit", "scale") else np.intp
+            setattr(self, name, np.array(table, dtype=kind))
+
+
 @dataclass(frozen=True)
 class PlanVars:
     """Bidirectional index between (entity, location, time) tuples and variable ids.
@@ -80,7 +125,8 @@ class PlanVars:
       inspected[(ue, t)]       t in [1, n_T-2]
 
     cost_terms holds every objective term as (StepCost field, t, vid, coef);
-    vid is None for a constant term.  scenario is the model's source.
+    vid is None for a constant term.  scenario is the model's source, and
+    rules defines the derived families.
     """
 
     scenario: Scenario = field(repr=False, compare=False)
@@ -96,11 +142,7 @@ class PlanVars:
     inspected: dict
     reverse: dict
     cost_terms: list
-
-    @cached_property
-    def assignment_index(self) -> _AssignmentIndex:
-        """plan_to_assignment's index, built on first use."""
-        return _AssignmentIndex(self)
+    rules: DerivedRules = field(repr=False, compare=False)
 
 
 def compact_variable_count(scenario: Scenario) -> int:
@@ -154,7 +196,8 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
         dirs_of[g.uedge_of_location(loc)].append(loc)
 
     model = Model(name="teamplan")
-    pv = PlanVars(scenario, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [])
+    pv = PlanVars(scenario, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [],
+                  DerivedRules())
 
     def new_var(family: str, key, kind, lower, upper, name) -> int:
         vid = model.add_var(kind, lower, upper, name)
@@ -232,21 +275,28 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
     model.objective = obj
 
     # constraints -------------------------------------------------------------
+    rules = pv.rules
+
+    def uncertainty_row(slack, flag, ratio, scale, name):
+        """slack >= scale * (flag - ratio)"""
+        expr = LinExpr({slack: 1.0})
+        expr.add_term(flag, -scale)
+        expr.add_term(ratio, scale)
+        model.add_constraint(expr, Sense.GE, 0.0, name)
+        rules.add_slack(slack, flag, ratio, scale)
+
     move_coef = 1.0 / (n_a + n_k * n_tau)
     for t in range(1, n_t + 1):
         for loc in edge_locs:
             ue = g.uedge_of_location(loc)
-            expr = LinExpr({pv.carrier_unc[(loc, t)]: 1.0})
-            expr.add_term(pv.carrier_edge[(loc, t)], -unc[ue])
-            expr.add_term(pv.inspect_ratio[(ue, t)], unc[ue])
-            model.add_constraint(expr, Sense.GE, 0.0,
-                                 f"unc_carrier[{g.location_label(loc)},{t}]")
+            uncertainty_row(pv.carrier_unc[(loc, t)], pv.carrier_edge[(loc, t)],
+                            pv.inspect_ratio[(ue, t)], unc[ue],
+                            f"unc_carrier[{g.location_label(loc)},{t}]")
         if scouts and t <= n_t - 1:
             for ue in uedges:
-                expr = LinExpr({pv.scout_unc[(ue, t)]: 1.0})
-                expr.add_term(pv.scout_edge[(ue, t)], -zeta * unc[ue])
-                expr.add_term(pv.inspect_ratio[(ue, t)], zeta * unc[ue])
-                model.add_constraint(expr, Sense.GE, 0.0, f"unc_scout[{ue},{t}]")
+                uncertainty_row(pv.scout_unc[(ue, t)], pv.scout_edge[(ue, t)],
+                                pv.inspect_ratio[(ue, t)], zeta * unc[ue],
+                                f"unc_scout[{ue},{t}]")
 
         expr = LinExpr({pv.moved[t]: 1.0})
         for loc in edge_locs:
@@ -255,12 +305,14 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
                 for s in range(1, n_tau + 1):
                     expr.add_term(pv.scout_at[(loc, s, t)], -move_coef)
         model.add_constraint(expr, Sense.GE, 0.0, f"moved[{t}]")
+        rules.add_flag(pv.moved[t], expr)
 
         for loc in edge_locs:
             expr = LinExpr({pv.carrier_edge[(loc, t)]: 1.0})
             expr.add_term(pv.carrier_at[(loc, t)], -1.0 / n_a)
             model.add_constraint(expr, Sense.GE, 0.0,
                                  f"edge_used[{g.location_label(loc)},{t}]")
+            rules.add_flag(pv.carrier_edge[(loc, t)], expr)
         if scouts and t <= n_t - 1:
             scout_flow_coef = 1.0 / (n_k * n_tau)
             for ue in uedges:
@@ -269,6 +321,7 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
                     for s in range(1, n_tau + 1):
                         expr.add_term(pv.scout_at[(loc, s, t)], -scout_flow_coef)
                 model.add_constraint(expr, Sense.GE, 0.0, f"scout_edge_used[{ue},{t}]")
+                rules.add_flag(pv.scout_edge[(ue, t)], expr)
 
     for loc, count in scenario.starts:
         model.add_constraint(LinExpr({pv.carrier_at[(loc, 1)]: 1.0}),
@@ -342,6 +395,7 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
                     for s in range(1, n_tau + 1):
                         expr.add_term(pv.scout_at[(loc, s, t)], 1.0)
                 model.add_constraint(expr, Sense.GE, 0.0, f"inspectable[{ue},{t}]")
+                rules.add_flag(pv.inspected[(ue, t)], expr)
                 # valid: an inspection needs a scout on the edge, and any
                 # scout there forces the binary scout_edge flag up to 1
                 expr = LinExpr({pv.scout_edge[(ue, t)]: 1.0,
@@ -353,11 +407,15 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
         window = credit_window(scenario, t)
         for ue in uedges:
             expr = LinExpr({pv.inspect_ratio[(ue, t)]: 1.0})
+            credits = []
             for t_h, credit in window:
                 if (ue, t_h) in pv.inspected:
                     expr.add_term(pv.inspected[(ue, t_h)], -credit)
+                    credits.append((pv.inspected[(ue, t_h)], credit))
             model.add_constraint(expr, Sense.LE, 0.0, f"inspect_credit[{ue},{t}]")
+            rules.add_ratio(pv.inspect_ratio[(ue, t)], credits)
 
+    rules.freeze()
     return model, pv
 
 
@@ -480,93 +538,13 @@ def extract_plan(solution, plan_vars: PlanVars) -> Plan:
                 tuple(breakdown), total)
 
 
-class _AssignmentIndex:
-    """The plan-independent part of plan_to_assignment, as id arrays.
-
-    A scout on an edge location marks the pair (undirected edge, deployment
-    step) as used.  The pairs are numbered in scout_at order, and pair
-    n_pairs stands for every pair that no scout can mark.
-    """
-
-    def __init__(self, pv: PlanVars):
-        scenario = pv.scenario
-        g = scenario.graph
-        uedge = [g.uedge_of_location(loc) for loc in range(g.n_nodes, g.n_locations)]
-        u_hat = [scenario.edge_uncertainty(ue) for ue in range(len(g.uedges))]
-
-        self.carrier_edge = np.array(list(pv.carrier_edge.values()), dtype=np.intp)
-        self.carrier_edge_at = np.array([pv.carrier_at[key] for key in pv.carrier_edge],
-                                        dtype=np.intp)
-        # moved[t]: any carrier or scout on an edge location at t
-        row_of = {t: i for i, t in enumerate(pv.moved)}
-        self.moved = np.array(list(pv.moved.values()), dtype=np.intp)
-        moved_src = [pv.carrier_at[(loc, t)] for t in pv.moved
-                     for loc in range(g.n_nodes, g.n_locations)]
-        moved_row = [i for i in row_of.values() for loc in range(g.n_nodes, g.n_locations)]
-        pairs: dict[tuple[int, int], int] = {}
-        src, pair = [], []
-        for (loc, s, t), vid in pv.scout_at.items():
-            if loc >= g.n_nodes:
-                src.append(vid)
-                pair.append(pairs.setdefault((uedge[loc - g.n_nodes], t), len(pairs)))
-                moved_row.append(row_of.get(t, len(row_of)))
-        self.scout_src = np.array(src, dtype=np.intp)
-        self.scout_pair = np.array(pair, dtype=np.intp)
-        self.moved_src = np.array(moved_src + src, dtype=np.intp)
-        self.moved_row = np.array(moved_row, dtype=np.intp)
-        self.n_pairs = n = len(pairs)
-        # scout_edge and inspected copy their pair's flag
-        flagged = list(pv.scout_edge.items()) + list(pv.inspected.items())
-        self.pair_flag = np.array([vid for key, vid in flagged], dtype=np.intp)
-        self.pair_flag_of = np.array([pairs.get(key, n) for key, vid in flagged],
-                                     dtype=np.intp)
-
-        # inspect_ratio[(ue, t)]: min(1, the credits of the inspected steps in
-        # its window), summed in ascending step order
-        self.inspected = np.array(list(pv.inspected.values()), dtype=np.intp)
-        column_of = {key: i for i, key in enumerate(pv.inspected)}
-        rows, cols, weights = [], [], []
-        for i, (ue, t) in enumerate(pv.inspect_ratio):
-            for t_h, credit in credit_window(scenario, t):
-                col = column_of.get((ue, t_h))
-                if col is not None:
-                    rows.append(i)
-                    cols.append(col)
-                    weights.append(credit)
-        self.ratio = np.array(list(pv.inspect_ratio.values()), dtype=np.intp)
-        self.credit_row = np.array(rows, dtype=np.intp)
-        self.credit_col = np.array(cols, dtype=np.intp)
-        self.credit = np.array(weights, dtype=float)
-
-        # carrier_unc and scout_unc: max(0, scale * (edge flag - ratio))
-        zeta = scenario.scout_cost_scale
-        unc, edge, ratio, scale = [], [], [], []
-        for (loc, t), vid in pv.carrier_unc.items():
-            ue = uedge[loc - g.n_nodes]
-            unc.append(vid)
-            edge.append(pv.carrier_edge[(loc, t)])
-            ratio.append(pv.inspect_ratio[(ue, t)])
-            scale.append(u_hat[ue])
-        for (ue, t), vid in pv.scout_unc.items():
-            unc.append(vid)
-            edge.append(pv.scout_edge[(ue, t)])
-            ratio.append(pv.inspect_ratio[(ue, t)])
-            scale.append(zeta * u_hat[ue])
-        self.unc = np.array(unc, dtype=np.intp)
-        self.unc_edge = np.array(edge, dtype=np.intp)
-        self.unc_ratio = np.array(ratio, dtype=np.intp)
-        self.unc_scale = np.array(scale, dtype=float)
-
-
 def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
     """Full variable assignment realizing a plan, with every derived series
     (movement/edge flags, inspections, inspection ratios, uncertainty slacks)
-    at its cost-minimal value.  Feasible by construction for structurally
-    valid trajectories; useful as a warm incumbent and in tests.  The index
-    of the derived families is built on the first call and kept on
-    plan_vars."""
+    at its cost-minimal value by the rules build_model recorded.  Feasible
+    by construction for structurally valid trajectories; useful as a warm
+    incumbent and in tests."""
     pv = plan_vars
-    index = pv.assignment_index
     x = np.zeros(len(pv.reverse))
 
     for route in carrier_routes:
@@ -580,17 +558,13 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
     for (v, t), count in deployments.items():
         x[pv.deployed[(v, t)]] = count
 
-    x[index.carrier_edge] = x[index.carrier_edge_at] > 0
-    used = np.bincount(index.scout_pair, x[index.scout_src] > 0, index.n_pairs + 1) > 0
-    x[index.pair_flag] = used[index.pair_flag_of]
-    x[index.moved] = np.bincount(index.moved_row, x[index.moved_src] > 0,
-                                 len(index.moved) + 1)[:-1] > 0
-    inspected = x[index.inspected] > 0
-    x[index.ratio] = np.minimum(1.0, np.bincount(
-        index.credit_row, index.credit * inspected[index.credit_col],
-        minlength=len(index.ratio)))
-    x[index.unc] = np.maximum(0.0, index.unc_scale * (
-        x[index.unc_edge] - x[index.unc_ratio]))
+    # flags read only counts, ratios read flags, slacks read both; bincount
+    # sums each ratio's credits in the recorded order
+    r = pv.rules
+    x[r.flag] = np.bincount(r.flag_row, x[r.flag_source] > 0, len(r.flag)) > 0
+    x[r.ratio] = np.minimum(1.0, np.bincount(
+        r.credit_row, r.credit * (x[r.credited] > 0), len(r.ratio)))
+    x[r.slack] = np.maximum(0.0, r.scale * (x[r.slack_flag] - x[r.slack_ratio]))
     return x
 
 

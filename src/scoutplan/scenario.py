@@ -89,16 +89,19 @@ class Scenario:
             raise ValidationError("start counts must sum to carrier_count")
         if sum(c for _, c in self.goals) > self.carrier_count:
             raise ValidationError("goal counts exceed carrier_count")
-        for loc, count in self.starts:
-            if not 0 <= loc < g.n_locations:
-                raise ValidationError(f"start location {loc} not in graph")
-            if count < 0:
-                raise ValidationError("negative start count")
-        for loc, count in self.goals:
-            if not 0 <= loc < g.n_locations:
-                raise ValidationError(f"goal location {loc} not in graph")
-            if count < 0:
-                raise ValidationError("negative goal count")
+        for kind, entries in (("start", self.starts), ("goal", self.goals)):
+            seen = set()
+            for loc, count in entries:
+                if not 0 <= loc < g.n_locations:
+                    raise ValidationError(f"{kind} location {loc} not in graph")
+                if loc in seen:
+                    # the model writes one row per entry, so a repeat would
+                    # not add its counts up
+                    raise ValidationError(
+                        f"{kind} location {g.location_label(loc)} listed twice")
+                seen.add(loc)
+                if count < 0:
+                    raise ValidationError(f"negative {kind} count")
 
         for a, b, data in g.uedges:
             label = f"({g.node_labels[a]},{g.node_labels[b]})"
@@ -208,6 +211,14 @@ def _number(mapping, key, context: str) -> float:
     return float(value)
 
 
+def _string(mapping, key, context: str) -> str:
+    """A required string; numbers and nulls are rejected, not converted."""
+    value = _key(mapping, key, context)
+    if not isinstance(value, str):
+        raise ParseError(f"{context}.{key} must be a string, got {value!r}")
+    return value
+
+
 def _integer(mapping, key, context: str) -> int:
     """A required integer; non-integral numbers are rejected, not truncated."""
     value = _number(mapping, key, context)
@@ -222,8 +233,9 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     Top-level keys: nodes (list of string labels without '-'), edges (list of
     {a, b, w, u_lower, u_upper, r}), team {n_A, n_K}, horizon {n_T, n_tau},
     params {zeta, xi, lambda, beta, launch_scale, term_weights}, starts
-    [{node, count}], goals [{node, min_count}], optional ground_truth mapping
-    "labelA-labelB" to a per-step cost list.
+    [{node, count}], goals [{node, min_count}] (each node at most once per
+    list), optional ground_truth mapping "labelA-labelB" to a per-step cost
+    list.  Labels, endpoints and start and goal nodes must be strings.
     """
     try:
         doc = json.loads(text)
@@ -231,7 +243,8 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(doc, _TOP_KEYS, "document")
 
-    labels = [str(lbl) for lbl in _list(doc, "nodes", "document")]
+    nodes = _list(doc, "nodes", "document")
+    labels = [_string(nodes, i, "document.nodes") for i in range(len(nodes))]
     index = {lbl: i for i, lbl in enumerate(labels)}
     if len(index) != len(labels):
         raise ValidationError("duplicate node labels")
@@ -244,7 +257,7 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     for i, entry in enumerate(_list(doc, "edges", "document")):
         context = f"edges[{i}]"
         _require(entry, _EDGE_KEYS, context)
-        a, b = str(_key(entry, "a", context)), str(_key(entry, "b", context))
+        a, b = _string(entry, "a", context), _string(entry, "b", context)
         if a not in index or b not in index:
             raise ValidationError(f"{context}: unknown endpoint {a!r} or {b!r}")
         data = EdgeData(
@@ -273,7 +286,7 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
         for i, entry in enumerate(_list(doc, section, "document")):
             context = f"{section}[{i}]"
             _require(entry, {"node", count_key}, context)
-            label = str(_key(entry, "node", context))
+            label = _string(entry, "node", context)
             if label not in index:
                 raise ValidationError(f"unknown node label {label!r}")
             out.append((index[label], _integer(entry, count_key, context)))

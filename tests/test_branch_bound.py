@@ -24,7 +24,7 @@ from scoutplan.formulation import (
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
 from scoutplan.scenario import load_scenario_file
-from scoutplan.simplex import LpSolver
+from scoutplan.simplex import LpResult, LpSolver
 
 
 def knapsack_model():
@@ -145,6 +145,45 @@ class TestStatuses:
         # the pool keeps the interrupted child, whose bound is the root's
         assert res.best_bound == pytest.approx(root.objective, abs=1e-9)
         assert res.best_bound <= optimum
+
+    @staticmethod
+    def stall(monkeypatch, stalls):
+        """Make the solves whose 1-based call number passes stalls return
+        stalled without running; returns each call's keyword arguments."""
+        calls = []
+        solve = LpSolver.solve
+
+        def stalling(self, *args, **kwargs):
+            calls.append(kwargs)
+            if stalls(len(calls)):
+                return LpResult("stalled", None, None, 0, None)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpSolver, "solve", stalling)
+        return calls
+
+    @pytest.mark.parametrize("stalled_call", [1, 2])
+    def test_stalled_lp_is_retried_cold(self, monkeypatch, stalled_call):
+        model, values, weights = knapsack_model()
+        plain = solve_milp(model)
+        calls = self.stall(monkeypatch, lambda n: n == stalled_call)
+        res = solve_milp(model)
+        retry = calls[stalled_call]
+        assert "warm_start" not in retry and "cutoff" not in retry
+        assert res.status == plain.status == "optimal"
+        assert res.objective == plain.objective
+        if stalled_call == 1:
+            # the root starts cold anyway, so the search is the unpatched one
+            assert res.x.tolist() == plain.x.tolist()
+            assert res.nodes == plain.nodes
+            assert res.lp_solves == plain.lp_solves + 1
+
+    def test_lp_stalled_twice_raises(self, monkeypatch):
+        model, _, _ = knapsack_model()
+        calls = self.stall(monkeypatch, lambda n: True)
+        with pytest.raises(RuntimeError, match="stalled"):
+            solve_milp(model)
+        assert len(calls) == 2
 
 
 class TestDeterminism:

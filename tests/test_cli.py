@@ -78,6 +78,27 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("path, value", [
+        (("starts",), [{"node": "0", "count": 1}] * 2),
+        (("goals",), [{"node": "2", "min_count": 1}] * 2),
+        (("nodes",), ["0", "1", "2", "3", None]),
+        (("edges", 0, "a"), 0),
+        (("starts", 0, "node"), 0),
+    ], ids=["repeated-start", "repeated-goal", "null-label", "number-endpoint",
+            "number-start"])
+    def test_bad_label_or_repeat_exits_two(self, tmp_path, small_path, capsys,
+                                           path, value):
+        doc = json.loads(small_path.read_text())
+        *parents, last = path
+        entry = doc
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["plan", str(bad), "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent.json"]) == 2
 

@@ -10,10 +10,12 @@ from scoutplan import (
     enumerate_optimal,
     evaluate_plan_cost,
     extract_plan,
+    plan_to_assignment,
     solve_milp,
     structured_candidate,
 )
 from scoutplan import milp
+from scoutplan.executor import variant_scenario
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.graphs import EdgeData, Graph
 from scoutplan.scenario import Scenario, TermWeights
@@ -201,15 +203,20 @@ class TestRoundTrip:
         self.assert_structured_seed_flies_scouts(random_scaling_scenario(seed, *size))
 
 
+def nodecay_tiny_scenario(seed):
+    """(decay model, the same scenario with inspection_decay off)"""
+    base = random_tiny_scenario(seed, horizon=4, scout_steps=4,
+                                max_nodes=3, max_edges=3)
+    return base, replace(base, inspection_decay=False)
+
+
 class TestNoDecay:
     def test_nodecay_model_matches_oracle(self):
         # inspection credit that never expires: the solver's optimum equals
         # the enumerated one, and the extracted plan prices to the objective
         enumerated, differ = 0, []
         for seed in range(200):
-            base = random_tiny_scenario(seed, horizon=4, scout_steps=4,
-                                        max_nodes=3, max_edges=3)
-            sc = replace(base, inspection_decay=False)
+            base, sc = nodecay_tiny_scenario(seed)
             try:
                 oracle = enumerate_optimal(sc)
             except ValueError:
@@ -227,3 +234,42 @@ class TestNoDecay:
         assert enumerated >= 150
         # the setting matters on this corpus, so the check has teeth
         assert differ
+
+
+class TestPlanToAssignment:
+    """plan_to_assignment gives a plan its cost-minimal derived values: the
+    assignment is feasible and its objective is the plan's priced cost."""
+
+    def test_enumerated_optima_price_to_their_cost(self):
+        corpus = [random_tiny_scenario(seed) for seed in range(200)]
+        corpus += [nodecay_tiny_scenario(seed)[1] for seed in range(200)]
+        checked = 0
+        for sc in corpus:
+            try:
+                oracle = enumerate_optimal(sc)
+            except ValueError:
+                continue        # beyond the enumeration guard
+            if oracle.status != "optimal":
+                continue
+            model, pv = build_model(sc)
+            x = plan_to_assignment(oracle.carrier_routes, oracle.scout_excursions, pv)
+            check = milp.evaluate(model, x)
+            assert check.feasible, check.violations
+            _, total = evaluate_plan_cost(sc, oracle.carrier_routes,
+                                          oracle.scout_excursions)
+            assert check.objective == pytest.approx(total, abs=1e-9)
+            checked += 1
+        assert checked >= 350
+
+    @pytest.mark.parametrize("variant", ["full", "scouts-nodecay"])
+    def test_structured_candidates_price_to_their_cost(self, ablation_scenario,
+                                                       variant):
+        sc = variant_scenario(ablation_scenario[0], variant)
+        model, pv = build_model(sc)
+        candidates = structured_candidate(pv)
+        assert len(candidates) > 80
+        for x in candidates:
+            check = milp.evaluate(model, x)
+            assert check.feasible, check.violations
+            _, total = evaluate_plan_cost(sc, extract_plan(x, pv))
+            assert check.objective == pytest.approx(total, abs=1e-9)

@@ -115,6 +115,36 @@ class TestLoader:
         with pytest.raises(ParseError, match=f"{key} must be {kind}"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("section, key", [
+        ("nodes", 2), ("edges", "a"), ("edges", "b"), ("starts", "node"),
+        ("goals", "node"),
+    ])
+    def test_non_string_label_rejected(self, section, key):
+        # node "1" exists, so str() of the number 1 would name it
+        doc = json.loads(minimal_document(
+            nodes=["1", "b", "c"],
+            edges=[{"a": "1", "b": "b", "w": 10.0, "u_lower": 2.0, "u_upper": 5.0}],
+            starts=[{"node": "1", "count": 1}], goals=[{"node": "b", "min_count": 1}]))
+        if section == "nodes":
+            doc["nodes"][key] = None
+        else:
+            doc[section][0][key] = 1
+        with pytest.raises(ParseError, match=f"{key} must be a string"):
+            load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("section, entry", [
+        ("starts", {"node": "a", "count": 1}), ("goals", {"node": "b", "min_count": 1}),
+    ])
+    def test_repeated_start_or_goal_rejected(self, section, entry):
+        # one model row per entry: two a-starts of 1 would not make 2
+        doc = json.loads(minimal_document(team={"n_A": 2, "n_K": 0},
+                                          starts=[{"node": "a", "count": 2}]))
+        doc[section] = [entry, entry]
+        kind = section[:-1]
+        with pytest.raises(ValidationError, match=f"{kind} location {entry['node']} "
+                                                  "listed twice"):
+            load_scenario(json.dumps(doc))
+
     def test_integral_float_count_accepted(self):
         doc = json.loads(minimal_document())
         doc["horizon"]["n_T"] = 3.0
