@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Fingerprint every LP solve of the four benchmark workloads.
+
+Runs the solves of plan-ablation8 (node limit 25), mission-ablation8 (node
+limit 5 per replan), certify-random (three (5,7,5,3) scenarios) and
+oracle-tiny (200 tiny scenarios) at the benchmark's settings, with
+`LpSolver.solve` wrapped, and prints one line per workload: LP solves,
+pivots, factorizations, and a sha256 over the status, iterations,
+factorizations, objective, x and basis of every LP result in call order.
+Two trees that print the same lines made the same LP solves.  The script
+exits 1 when its counts differ from the `MilpResult` counters of the same
+solves.  OpenBLAS is pinned to one thread, as the benchmark pins it, because
+another thread count may sum in another order.
+
+    PYTHONPATH=src python3 scripts/lp_equivalence.py
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads
+
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from scoutplan import SolveOptions, executor, planner, simplex
+from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
+from scoutplan.scenario import load_scenario_file
+
+ABLATION8 = Path(__file__).resolve().parent.parent / "scenarios" / "ablation8.json"
+
+
+def plan_ablation8():
+    scenario, _ = load_scenario_file(ABLATION8)
+    planner.solve_scenario(scenario, SolveOptions(node_limit=25))
+
+
+def mission_ablation8():
+    scenario, truth = load_scenario_file(ABLATION8)
+    executor.run_mission(scenario, truth, SolveOptions(node_limit=5))
+
+
+def certify_random():
+    for k in (0, 1, 2):
+        planner.solve_scenario(random_scaling_scenario(k, 5, 7, 5, 3),
+                               SolveOptions(node_limit=20_000))
+
+
+def oracle_tiny():
+    for k in range(200):
+        planner.solve_scenario(random_tiny_scenario(k), SolveOptions())
+
+
+WORKLOADS = {"plan-ablation8": plan_ablation8, "mission-ablation8": mission_ablation8,
+             "certify-random": certify_random, "oracle-tiny": oracle_tiny}
+
+
+def _digest(digest, res) -> None:
+    digest.update(f"{res.status}|{res.iterations}|{res.factorizations}|"
+                  f"{res.objective!r}|".encode())
+    for array in (res.x, None if res.basis is None else res.basis.basic,
+                  None if res.basis is None else res.basis.status):
+        if array is None:
+            digest.update(b"-")
+        else:
+            array = np.ascontiguousarray(array, dtype=float)
+            digest.update(struct.pack("<q", len(array)) + array.tobytes())
+
+
+def run(name, workload) -> bool:
+    """Print the workload's line; False when the counts disagree."""
+    digest = hashlib.sha256()
+    lp = {"solves": 0, "pivots": 0, "factorizations": 0}
+    milp = dict.fromkeys(lp, 0)
+    solve, solve_milp = simplex.LpSolver.solve, planner.solve_milp
+
+    def lp_solve(self, *args, **kwargs):
+        res = solve(self, *args, **kwargs)
+        lp["solves"] += 1
+        lp["pivots"] += res.iterations
+        lp["factorizations"] += res.factorizations
+        _digest(digest, res)
+        return res
+
+    def milp_solve(*args, **kwargs):
+        result = solve_milp(*args, **kwargs)
+        milp["solves"] += result.lp_solves
+        milp["pivots"] += result.lp_pivots
+        milp["factorizations"] += result.factorizations
+        return result
+
+    simplex.LpSolver.solve, planner.solve_milp = lp_solve, milp_solve
+    try:
+        workload()
+    finally:
+        simplex.LpSolver.solve, planner.solve_milp = solve, solve_milp
+    print(f"{name} solves {lp['solves']} pivots {lp['pivots']} "
+          f"factorizations {lp['factorizations']} sha256 {digest.hexdigest()}")
+    if lp != milp:
+        print(f"{name}: LpSolver.solve counted {lp}, MilpResult {milp}",
+              file=sys.stderr)
+    return lp == milp
+
+
+if __name__ == "__main__":
+    ok = [run(name, workload) for name, workload in WORKLOADS.items()]
+    sys.exit(0 if all(ok) else 1)

@@ -49,12 +49,10 @@ def highs(scenario, cap):
     t0 = time.perf_counter()
     model, _ = build_model(scenario)
     problem, int_ids = model_to_lp(model)
-    lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
-    ub = np.where(problem.senses == "G", np.inf, problem.rhs)
     integrality = np.zeros(len(problem.objective))
     integrality[int_ids] = 1
     res = milp(problem.objective,
-               constraints=LinearConstraint(problem.rows, lb, ub),
+               constraints=LinearConstraint(problem.rows, *problem.row_bounds),
                integrality=integrality,
                bounds=Bounds(problem.lower, problem.upper),
                options={"mip_rel_gap": 0.0, "time_limit": cap})

@@ -38,7 +38,7 @@ from .graphs import (
     launch_cost_at,
     locations,
 )
-from .milp import LinExpr, Model, Sense, VarDef, evaluate, export_mps
+from .milp import LinExpr, LpProblem, Model, Sense, VarDef, evaluate, export_mps
 from .oracle import (
     EnumerationLimits,
     OracleResult,
@@ -54,7 +54,7 @@ from .scenario import (
     load_scenario_file,
     scenario_to_document,
 )
-from .simplex import LpProblem, LpResult, LpSolver
+from .simplex import LpResult, LpSolver
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

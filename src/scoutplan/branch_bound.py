@@ -1,14 +1,15 @@
 """Exact MILP solver: presolve, then branch and bound on LP relaxations.
 
-presolve shrinks the lowered relaxation before any simplex sees it: bound
-propagation from row activities, redundant-row removal, dual fixing and the
-aggregation of doubleton equations, to a fixpoint, then fixed columns leave
-the problem.  An aggregation substitutes one column of a two-column equality
-row by an affine function of the other, so the postsolve map is affine:
-Presolved.expand puts fixed values back and recomputes each aggregated
-column from its kept partner.  The search runs over the remaining columns
-and expands every point back to the full model before it is evaluated or
-returned.
+presolve shrinks the lowered relaxation, a milp.LpProblem, before any
+simplex sees it: bound propagation from row activities, redundant-row
+removal, dual fixing and the aggregation of doubleton equations, to a
+fixpoint, then fixed columns leave the problem, or it returns None when the
+reductions show the relaxation infeasible.  An aggregation substitutes one
+column of a two-column equality row by an affine function of the other, so
+the postsolve map is affine: Presolved.expand puts fixed values back and
+recomputes each aggregated column from its kept partner.  The search runs
+over the remaining columns and expands every point back to the full model
+before it is evaluated or returned.
 
 solve_milp owns the search from the root down: it presolves the model once,
 builds one LP solver on the result and solves the root relaxation, cold, as
@@ -41,9 +42,7 @@ tolerance of the best tie and the lowest id among them wins.  With the
 logging level of scoutplan.branch_bound at DEBUG, each branched node logs
 the node count, best bound, incumbent and gap.
 
-The node pool could be served to concurrent workers as long as incumbent and
-bound updates stay atomic; this implementation processes nodes in a single
-worker, so identical inputs explore identical trees.
+Without a time limit, identical inputs explore identical trees.
 """
 
 from __future__ import annotations
@@ -58,9 +57,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import milp
-from .simplex import Basis, LpProblem, LpSolver
+from .milp import LpProblem
+from .simplex import Basis, LpSolver
 
 log = logging.getLogger("scoutplan.branch_bound")
+
+_IMPROVEMENT = 1e-12        # a candidate must beat the incumbent by more
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -89,17 +92,11 @@ class MilpResult:
     lp_pivots: int = 0                  # their simplex pivots
     factorizations: int = 0             # their sparse LU factorizations
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
 
 def model_to_lp(model: milp.Model) -> tuple[LpProblem, list[int]]:
     """LP relaxation of the model plus the ids of its integer variables."""
-    arrays = milp.model_arrays(model)
-    problem = LpProblem(arrays.objective, arrays.rows, arrays.senses, arrays.rhs,
-                        arrays.lower, arrays.upper, constant=arrays.constant)
-    return problem, np.flatnonzero(arrays.integer).tolist()
+    problem, integer = milp.model_arrays(model)
+    return problem, np.flatnonzero(integer).tolist()
 
 
 _MIN_COEF = 1e-7            # smaller coefficients never imply a bound
@@ -121,9 +118,7 @@ class Presolved:
     full-length point holding every fixed column's value and the constant
     part of every aggregated column; aggregated (full space × kept columns)
     holds the rest of each aggregated column, so a reduced point x expands
-    to values + aggregated @ x with x placed at columns.  When infeasible is
-    set, the bounds and rows admit no point and problem is the unreduced
-    input.
+    to values + aggregated @ x with x placed at columns.
     """
 
     problem: LpProblem
@@ -131,7 +126,6 @@ class Presolved:
     columns: np.ndarray         # full-space id of each kept column
     values: np.ndarray
     aggregated: sp.csr_matrix
-    infeasible: bool = False
 
     def expand(self, x: np.ndarray) -> np.ndarray:
         """The full-space point of a reduced one."""
@@ -207,7 +201,7 @@ def _pick_doubletons(row_of, col_of, coef, doubleton, row_lo, lower, upper,
     return rows[picked], j[picked], k[picked], rho[picked], beta[picked]
 
 
-def presolve(problem: LpProblem, int_ids) -> Presolved:
+def presolve(problem: LpProblem, int_ids) -> Presolved | None:
     """Shrink the relaxation by the standard MIP presolve reductions.
 
     Repeats until nothing changes: (a) tighten column bounds from each row's
@@ -221,8 +215,9 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
     _pick_doubletons for which pairs qualify; each column takes part in one
     aggregation per round, so chains resolve over later rounds).  Then (d)
     fixed columns leave.  The substitutions compose into the postsolve map
-    Presolved.aggregated once the loop ends.  Every step is a vectorised
-    pass over all nonzeros, so the result depends on the problem alone.  See
+    Presolved.aggregated once the loop ends.  Returns None when the bounds
+    and rows admit no point.  Every step is a vectorised pass over all
+    nonzeros, so the result depends on the problem alone.  See
     Savelsbergh (1994), ORSA J. Computing 6(4); Andersen and Andersen
     (1995), Math. Programming 71; and Achterberg et al. (2020), INFORMS J.
     Computing 32(2).
@@ -233,8 +228,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
     m, n = rows.shape
     row_of = np.repeat(np.arange(m), np.diff(rows.indptr))
     col_of, coef = rows.indices.astype(np.intp), rows.data
-    row_lo = np.where(problem.senses == "L", -np.inf, problem.rhs)
-    row_hi = np.where(problem.senses == "G", np.inf, problem.rhs)
+    row_lo, row_hi = problem.row_bounds
     equality = row_lo == row_hi
     lower = np.array(problem.lower, dtype=float)
     upper = np.array(problem.upper, dtype=float)
@@ -246,10 +240,6 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
     # aggregated column j: x_j = offset[j] + ratio[j] * x[partner[j]]
     partner = np.full(n, -1)
     ratio, offset = np.zeros(n), np.zeros(n)
-
-    def infeasible():
-        return Presolved(problem, list(int_ids), np.arange(n), np.zeros(n),
-                         sp.csr_matrix((n, n)), True)
 
     def activity(contrib):
         """Per-row finite sum and count of infinite terms."""
@@ -269,7 +259,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
         max_act = np.where(max_inf > 0, np.inf, max_fin)
         if np.any(active & ((min_act > row_hi + milp.FEAS_TOL)
                             | (max_act < row_lo - milp.FEAS_TOL))):
-            return infeasible()
+            return None
 
         # (b) a row whose columns are all fixed is checked at the feasibility
         # tolerance; the bounds of every other row must satisfy it outright
@@ -304,7 +294,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
         lower = np.where(raise_lower, new_lower, lower)
         upper = np.where(cut_upper, new_upper, upper)
         if np.any((lower > upper) & (integer | (lower > upper + milp.FEAS_TOL))):
-            return infeasible()
+            return None
         # continuous bounds that meet within the tolerance fix their column
         meet = (lower != upper) & (upper - lower <= _REDUNDANT_TOL)
         lower[meet] = upper[meet] = np.clip((lower[meet] + upper[meet]) / 2,
@@ -342,7 +332,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved:
             upper[k] = np.minimum(upper[k], hi_k)
             if np.any((lower[k] > upper[k])
                       & (whole | (lower[k] > upper[k] + milp.FEAS_TOL))):
-                return infeasible()
+                return None
             cost[k] += rho * cost[j]
             constant += float(cost[j] @ beta)
             cost[j] = 0.0
@@ -446,7 +436,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     deadline = (None if options.time_limit is None
                 else time.monotonic() + options.time_limit)
     presolved = presolve(*model_to_lp(model))
-    if presolved.infeasible:
+    if presolved is None:
         return MilpResult("infeasible", None, None, math.inf, math.inf, 0)
     work = {"lp_solves": 0, "lp_pivots": 0, "factorizations": 0}
     problem, int_ids = presolved.problem, presolved.int_ids
@@ -470,7 +460,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         Returns whether it was feasible."""
         nonlocal incumbent_x, incumbent_obj
         check = milp.evaluate(model, full)
-        if check.feasible and check.objective < incumbent_obj - 1e-12:
+        if check.feasible and check.objective < incumbent_obj - _IMPROVEMENT:
             incumbent_x = milp.assignment_vector(model, full)
             incumbent_obj = check.objective
         return check.feasible
@@ -478,7 +468,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     def try_incumbent(x, obj):
         """Offer a reduced-space point to the gate: its integers snapped
         first, the point as is only when the snapped one is infeasible."""
-        if obj >= incumbent_obj - 1e-12:
+        if obj >= incumbent_obj - _IMPROVEMENT:
             return
         snapped = x.copy()
         for vid in int_ids:

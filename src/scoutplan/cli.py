@@ -42,14 +42,18 @@ def _load(path: str):
     except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         raise SystemExit(INVALID)
-    except (ParseError, ValidationError, ValueError) as exc:
+    except (OSError, ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(INVALID)
 
 
 def _outdir(args) -> Path:
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: output directory {out}: {exc}", file=sys.stderr)
+        raise SystemExit(INVALID)
     return out
 
 

@@ -7,9 +7,6 @@ crossed, updates beliefs and repeats.  Observed uncertainty drops to zero and
 regrows linearly over the decay horizon, modeling an environment that keeps
 changing after a look, unless the scenario's inspection_decay is off (the
 scouts-nodecay arm).
-
-The loop itself is sequential; only the solver call inside a step may use
-whatever concurrency the branch-and-bound contract allows.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ inspection_decay setting through credit_window.  Each derived variable
 defined once: the statement that writes its defining row also records, in
 DerivedRules, the rule plan_to_assignment gives it its value by.
 
-build_model and extract_plan are pure functions of their inputs and safe to
-call concurrently on shared scenarios.
+build_model and extract_plan are pure functions of their inputs.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ edge is a location (traversing it toward its head).  Locations are totally
 ordered: nodes in ascending index first, then directed edges in ascending
 (tail, head).
 
-Graphs and their derived tables are immutable after construction and safe to
-share across threads.
+Graphs and their derived tables are immutable after construction.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Solver-agnostic mixed-integer linear program representation.
 
-Models are built incrementally (single writer) and then treated as immutable;
-a finished model can be shared across concurrent solvers.  The objective is
-always minimized.  Quadratic terms never appear here: cost products are
-linearized before they reach this layer.
+Models are built incrementally and then treated as immutable.  The
+objective is always minimized.  Quadratic terms never appear here: cost
+products are linearized before they reach this layer.
 
-model_arrays is the one place a model's expressions become matrix form;
-evaluation, the LP relaxation and MPS export all read its result.
+LpProblem is the one array form of a relaxation, and its row_bounds the one
+reading of its row senses.  model_arrays is the one place a model's
+expressions become an LpProblem; evaluation, the LP relaxation and MPS
+export all read its result.
 """
 
 from __future__ import annotations
@@ -116,22 +117,46 @@ _SENSE_ROW = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
 
 
 @dataclass(frozen=True)
-class ModelArrays:
+class LpProblem:
     """min objective @ x + constant  s.t.  rows x {<=,==,>=} rhs,
-    lower <= x <= upper, x integral where integer is set.  Read-only."""
+    lower <= x <= upper: a relaxation in array form."""
 
     objective: np.ndarray
-    constant: float
     rows: sp.csr_matrix
     senses: np.ndarray          # one of "L", "E", "G" per row
-    rhs: np.ndarray             # constraint rhs minus the expression's constant
+    rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    integer: np.ndarray         # True for binary and integer variables
+    constant: float = 0.0
+
+    def __post_init__(self):
+        m, n = self.rows.shape
+        if not (
+            len(self.objective) == n
+            and len(self.senses) == len(self.rhs) == m
+            and len(self.lower) == len(self.upper) == n
+        ):
+            raise ValueError("inconsistent problem dimensions")
+        if np.any(self.lower > self.upper):
+            raise ValueError("variable with lower bound above upper bound")
+        senses = np.asarray(self.senses)
+        unknown = ~np.isin(senses, ("L", "E", "G"))
+        if unknown.any():
+            raise ValueError(f"unknown sense {str(senses[unknown][0])!r}")
+
+    @property
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lo, hi) with lo <= rows @ x <= hi, infinite on a row's open side."""
+        senses = np.asarray(self.senses)
+        return (np.where(senses == "L", -np.inf, self.rhs),
+                np.where(senses == "G", np.inf, self.rhs))
 
 
-def model_arrays(model: Model) -> ModelArrays:
-    """The model's lowering to arrays, computed once and kept on the model.
+def model_arrays(model: Model) -> tuple[LpProblem, np.ndarray]:
+    """The model's lowering to arrays, computed once and kept on the model:
+    its LP relaxation (rhs net of each expression's constant) and a mask
+    that is True for binary and integer variables.  All arrays are
+    read-only.
 
     A model that gains variables or constraints, or is given a new objective,
     is lowered again; expressions are not edited once added to a model.
@@ -156,19 +181,21 @@ def model_arrays(model: Model) -> ModelArrays:
         indptr.append(len(indices))
     rows = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int64),
                           np.array(indptr, dtype=np.int64)), shape=(len(model.constraints), n))
-    arrays = ModelArrays(
-        objective, model.objective.constant, rows,
+    problem = LpProblem(
+        objective, rows,
         np.array([_SENSE_ROW[con.sense] for con in model.constraints], dtype="<U1"),
         np.array([con.rhs - con.expr.constant for con in model.constraints], dtype=float),
         np.array([var.lower for var in model.variables], dtype=float),
         np.array([var.upper for var in model.variables], dtype=float),
-        np.array([var.kind in (BINARY, INTEGER) for var in model.variables], dtype=bool),
+        model.objective.constant,
     )
-    for array in (objective, rows.data, rows.indices, rows.indptr, arrays.senses,
-                  arrays.rhs, arrays.lower, arrays.upper, arrays.integer):
+    integer = np.array([var.kind in (BINARY, INTEGER) for var in model.variables],
+                       dtype=bool)
+    for array in (objective, rows.data, rows.indices, rows.indptr, problem.senses,
+                  problem.rhs, problem.lower, problem.upper, integer):
         array.flags.writeable = False
-    model._arrays = (stamp, arrays)
-    return arrays
+    model._arrays = (stamp, (problem, integer))
+    return problem, integer
 
 
 @dataclass(frozen=True)
@@ -210,17 +237,17 @@ def evaluate(model: Model, assignment) -> EvalResult:
     non-finite value is a bound violation of infinite amount.  Violations
     come per variable in id order, bound before integrality, then per row.
     """
-    arrays = model_arrays(model)
+    problem, integer = model_arrays(model)
     x = assignment_vector(model, assignment)
+    row_lo, row_hi = problem.row_bounds
 
     with np.errstate(invalid="ignore"):
-        bound_excess = np.where(np.isfinite(x), np.maximum(arrays.lower - x,
-                                                           x - arrays.upper), math.inf)
-        fraction = np.where(arrays.integer, np.abs(x - np.round(x)), 0.0)
-        slack = arrays.rows @ x - arrays.rhs
-        objective = arrays.constant + float(arrays.objective @ x)
-    row_excess = np.where(arrays.senses == "L", slack,
-                          np.where(arrays.senses == "G", -slack, np.abs(slack)))
+        bound_excess = np.where(np.isfinite(x), np.maximum(problem.lower - x,
+                                                           x - problem.upper), math.inf)
+        fraction = np.where(integer, np.abs(x - np.round(x)), 0.0)
+        activity = problem.rows @ x
+        row_excess = np.maximum(row_lo - activity, activity - row_hi)
+        objective = problem.constant + float(problem.objective @ x)
 
     violations = []
     for i in np.flatnonzero((bound_excess > FEAS_TOL) | (fraction > INT_TOL)):
@@ -252,20 +279,20 @@ def export_mps(model: Model) -> str:
     objective row is OBJ.  A nonzero objective constant is encoded as an RHS
     entry on OBJ (the usual convention: readers subtract it).
     """
-    arrays = model_arrays(model)
+    problem, integer = model_arrays(model)
     lines = [f"NAME          {model.name.upper()[:8] or 'MODEL'}"]
     lines.append("ROWS")
     lines.append(" N  OBJ")
-    for i, sense in enumerate(arrays.senses):
+    for i, sense in enumerate(problem.senses):
         lines.append(f" {sense}  c{i}")
 
-    objective = arrays.objective.tolist()
-    columns = arrays.rows.tocsc()
+    objective = problem.objective.tolist()
+    columns = problem.rows.tocsc()
     lines.append("COLUMNS")
     marker = 0
     in_int = False
     for var in model.variables:
-        is_int = arrays.integer[var.id]
+        is_int = integer[var.id]
         if is_int and not in_int:
             lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTORG'")
             marker += 1
@@ -284,9 +311,9 @@ def export_mps(model: Model) -> str:
         lines.append(f"    MARKER{marker:04d}  'MARKER'                 'INTEND'")
 
     lines.append("RHS")
-    if arrays.constant != 0.0:
-        lines.append(f"    RHS       {'OBJ':<9} {_num(-arrays.constant)}")
-    for i, rhs in enumerate(arrays.rhs.tolist()):
+    if problem.constant != 0.0:
+        lines.append(f"    RHS       {'OBJ':<9} {_num(-problem.constant)}")
+    for i, rhs in enumerate(problem.rhs.tolist()):
         if rhs != 0.0:
             name = f"c{i}"
             lines.append(f"    RHS       {name:<9} {_num(rhs)}")

@@ -4,8 +4,7 @@ Everything here works on explicit per-robot trajectories and evaluates the
 cost terms directly from their definitions, bypassing the MILP entirely; the
 point is to stay simple enough to trust.  Enumeration deduplicates
 interchangeable robots and refuses problems whose joint trajectory space
-exceeds a guard threshold.  If desired, the space could be partitioned
-across workers by the first robot's first move and combined by minimum.
+exceeds a guard threshold.
 
 Indicator series are recomputed from trajectories: an edge counts as
 inspected when scouts actually crossed it inside the inspection-credit

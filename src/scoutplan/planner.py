@@ -115,8 +115,6 @@ def structured_candidate(plan_vars: PlanVars) -> list:
             if hops == 0:
                 stays = [n_t]
             route = _schedule_route(g, path, stays)
-            if len(route) != n_t or route[-1] != target:
-                continue
             routes = tuple([route] * scenario.carrier_count)
             variants = [()]
             if scenario.scout_count:

@@ -3,7 +3,7 @@
 A scenario bundles a topological graph with team sizes, horizons, risk
 parameters, start/goal requirements and (optionally) a ground-truth trace of
 realized edge costs for simulation.  Scenario values are immutable after
-construction and safe to share across threads.
+construction.
 
 The on-disk format is a single JSON document; see load_scenario for the
 schema.  Unknown keys are rejected so that typos fail loudly.
@@ -73,16 +73,18 @@ class Scenario:
             )
         if not 0.0 <= self.scout_cost_scale <= 1.0:
             raise ValidationError("scout_cost_scale must be in [0, 1]")
-        if self.explore_weight < 0:
-            raise ValidationError("explore_weight must be >= 0")
+        if not (math.isfinite(self.explore_weight) and self.explore_weight >= 0):
+            raise ValidationError(f"explore_weight {self.explore_weight} must be "
+                                  "finite and >= 0")
         if self.decay_horizon < 1:
             raise ValidationError("decay_horizon must be >= 1")
         if not 0.0 <= self.optimism < 0.5:
             raise ValidationError(
                 f"optimism {self.optimism} outside the risk-averse range [0, 0.5)"
             )
-        if self.launch_scale < 0:
-            raise ValidationError("launch_scale must be >= 0")
+        if not (math.isfinite(self.launch_scale) and self.launch_scale >= 0):
+            raise ValidationError(f"launch_scale {self.launch_scale} must be "
+                                  "finite and >= 0")
         self.term_weights.validate()
 
         if sum(c for _, c in self.starts) != self.carrier_count:

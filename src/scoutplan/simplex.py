@@ -1,8 +1,10 @@
 """Bounded-variable dual simplex with a dual phase 1 on an auxiliary problem.
 
-Relaxation engine for the branch-and-bound solver.  Variables keep their
-boxes (no standard-form expansion): nonbasic variables rest at a bound and
-the ratio tests allow bound flips.
+Relaxation engine for the branch-and-bound solver, on a milp.LpProblem.
+Variables keep their boxes (no standard-form expansion): nonbasic variables
+rest at a bound and the ratio tests allow bound flips.  Row i gains a slack
+boxed by the row's bounds (lo, hi) from LpProblem.row_bounds:
+rows_i x + s_i = rhs_i with rhs_i - hi_i <= s_i <= rhs_i - lo_i.
 
 Every solve runs one pivot loop, the bounded dual simplex: a cold one from
 the slack basis with each structural column at the bound its cost favours,
@@ -42,7 +44,9 @@ recomputed values.  All tie-breaks take the lowest variable index, so
 identical inputs give identical bases.
 
 LpSolver keeps the assembled matrices so branch-and-bound can re-solve the
-same problem under per-node bounds without rebuilding anything.
+same problem under per-node bounds without rebuilding anything.  Each solve
+is one _Run, which owns its limits (iteration cap and deadline) and its
+pivot count, shared by both phases.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ from scipy.linalg.blas import dtrsv
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from scipy.sparse.linalg import splu
 
+from .milp import LpProblem
+
 EPS_PIVOT = 1e-9            # steps below this count as degenerate
 EPS_FEAS = 1e-6
 EPS_COST = 1e-9
@@ -69,39 +75,18 @@ NB_LOWER, NB_UPPER, BASIC, NB_FREE = 0, 1, 2, 3
 _BLAND_AFTER = 400          # consecutive degenerate pivots before Bland's rule
 
 
-@dataclass(frozen=True)
-class LpProblem:
-    """min objective @ x + constant  s.t.  rows x {<=,==,>=} rhs, lower <= x <= upper."""
-
-    objective: np.ndarray
-    rows: sp.csr_matrix
-    senses: np.ndarray          # one of "L", "E", "G" per row
-    rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    constant: float = 0.0
-
-    def __post_init__(self):
-        m, n = self.rows.shape
-        if not (
-            len(self.objective) == n
-            and len(self.senses) == len(self.rhs) == m
-            and len(self.lower) == len(self.upper) == n
-        ):
-            raise ValueError("inconsistent problem dimensions")
-        if np.any(self.lower > self.upper):
-            raise ValueError("variable with lower bound above upper bound")
-
-
 class _Factors:
     """B⁻¹ as the sparse LU of a start basis B₀ times a product-form eta file.
 
     Pivot j put a column into basis position r_j whose FTRAN against the
     basis before it was w_j, so B = B₀E₁…E_k with E_j the identity but for
     column r_j = w_j.  Row j of etas holds w_j - e_{r_j}, and tri is the
-    upper triangle tri[i, j] = etas[i, r_j] (i < j) with pivots w_j[r_j] on
-    its diagonal.  Applying the k etas one after another then collapses to
-    one triangular solve with tri and one product with etas.
+    k × k upper triangle tri[i, j] = etas[i, r_j] (i < j) with pivots
+    w_j[r_j] on its diagonal.  Applying the k etas one after another then
+    collapses to one triangular solve with tri and one product with etas.
+    pos and etas grow in capacity steps; tri is an exact Fortran array, so
+    BLAS takes it without a copy, and it is replaced at every update, never
+    written, so copies share it.
     """
 
     def __init__(self, cols, basic):
@@ -132,8 +117,7 @@ class _Factors:
     def copy(self) -> "_Factors":
         """A copy whose eta file grows independently (the LU is shared)."""
         other = copy.copy(self)
-        other.pos, other.etas, other.tri = (
-            self.pos.copy(), self.etas.copy(), self.tri.copy(order="F"))
+        other.pos, other.etas = self.pos.copy(), self.etas.copy()
         return other
 
     def ftran(self, b):
@@ -141,7 +125,7 @@ class _Factors:
         v = np.array(b, dtype=float) if self.lu is None else self.lu.solve(b)
         k = self.k
         if k:
-            alpha = dtrsv(self.tri[:k, :k], v[self.pos[:k]], trans=1)
+            alpha = dtrsv(self.tri, v[self.pos[:k]], trans=1)
             v -= self.etas[:k].T @ alpha
         return v
 
@@ -150,7 +134,7 @@ class _Factors:
         u = np.array(c, dtype=float)
         k = self.k
         if k:
-            beta = dtrsv(self.tri[:k, :k], self.etas[:k] @ u)
+            beta = dtrsv(self.tri, self.etas[:k] @ u)
             u -= np.bincount(self.pos[:k], beta, self.m)
         return u if self.lu is None else self.lu.solve(u, trans="T")
 
@@ -162,13 +146,13 @@ class _Factors:
             size = max(2 * k, 16)
             self.pos = np.concatenate([self.pos, np.zeros(size - k, dtype=np.intp)])
             self.etas = np.vstack([self.etas, np.zeros((size - k, self.m))])
-            tri = np.zeros((size, size), order="F")
-            tri[:k, :k] = self.tri
-            self.tri = tri
         self.etas[k] = w
         self.etas[k, r] -= 1.0
-        self.tri[:k, k] = self.etas[:k, r]
-        self.tri[k, k] = w[r]
+        tri = np.zeros((k + 1, k + 1), order="F")
+        tri[:k, :k] = self.tri
+        tri[:k, k] = self.etas[:k, r]
+        tri[k, k] = w[r]
+        self.tri = tri
         self.pos[k] = r
         self.k = k + 1
         self.eta_nnz += np.count_nonzero(w)
@@ -233,12 +217,10 @@ class LpSolver:
         self.m, self.n = m, n
         self.total = n + m
 
-        senses = np.asarray(problem.senses)
-        unknown = ~np.isin(senses, ("L", "E", "G"))
-        if unknown.any():
-            raise ValueError(f"unknown sense {str(senses[unknown][0])!r}")
-        self.slack_lower = np.where(senses == "G", -np.inf, 0.0)
-        self.slack_upper = np.where(senses == "L", np.inf, 0.0)
+        self.rhs = np.asarray(problem.rhs, dtype=float)
+        row_lo, row_hi = problem.row_bounds
+        self.slack_lower = self.rhs - row_hi
+        self.slack_upper = self.rhs - row_lo
 
         self.cost = np.concatenate([
             np.asarray(problem.objective, dtype=float), np.zeros(m)])
@@ -249,7 +231,6 @@ class LpSolver:
         # the arguments of the kernels behind cols @ x and cols.T @ y
         self.col_arrays = (m, self.total, cols.indptr, cols.indices, cols.data)
         self.row_arrays = (self.total, m, cols_t.indptr, cols_t.indices, cols_t.data)
-        self.rhs = np.asarray(problem.rhs, dtype=float)
         self.constant = problem.constant
 
     def solve(self, warm_start: Basis | None = None,
@@ -265,8 +246,7 @@ class LpSolver:
         cutoff.  Hitting max_iterations returns stalled (never a silently
         wrong answer).  deadline is a time.monotonic() value; past it the
         solve returns interrupted.  Bounds with a lower above an upper give
-        infeasible without a pivot.  Independent solves may run
-        concurrently; a single solve is single-threaded.
+        infeasible without a pivot.
         """
         lo = self.problem.lower if lower is None else lower
         hi = self.problem.upper if upper is None else upper
@@ -277,8 +257,8 @@ class LpSolver:
         if self.m == 0:
             return _solve_unconstrained(self.cost[: self.n], lo, hi, self.constant)
         return _Run(self, np.concatenate([lo, self.slack_lower]),
-                    np.concatenate([hi, self.slack_upper]),
-                    warm_start).solve(max_iterations, cutoff, deadline)
+                    np.concatenate([hi, self.slack_upper]), warm_start,
+                    max_iterations, deadline).solve(cutoff)
 
 
 def _solve_unconstrained(cost, lower, upper, constant) -> LpResult:
@@ -332,10 +312,15 @@ def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
 
 
 class _Run:
-    """One solve: bound vectors, basis state and the pivot loop."""
+    """One solve: bound vectors, basis state, its limits, its pivot count
+    and the pivot loop."""
 
-    def __init__(self, ctx: LpSolver, lower, upper, warm_start: Basis | None):
+    def __init__(self, ctx: LpSolver, lower, upper, warm_start: Basis | None,
+                 max_iterations, deadline):
         self.ctx = ctx
+        self.max_iterations = max_iterations
+        self.deadline = deadline
+        self.iterations = 0             # pivots of phase 1 and phase 2 alike
         self.m, self.n, self.total = ctx.m, ctx.n, ctx.total
         self.cost = ctx.cost            # zeros while phase 1 tests a ray for feasibility
         self.cols = ctx.cols
@@ -474,24 +459,21 @@ class _Run:
         self._flip(flips)
         return flips.size
 
-    def solve(self, max_iterations, cutoff=None, deadline=None) -> LpResult:
-        iterations = 0
+    def solve(self, cutoff=None) -> LpResult:
         while True:
-            result, iterations = self._dual(iterations, max_iterations, cutoff,
-                                            deadline)
+            result = self._dual(cutoff)
             if result is None:
-                result, iterations = self._phase_one(iterations, max_iterations,
-                                                     deadline)
+                result = self._phase_one()
             if result is not None:
                 return result
 
-    def _phase_one(self, iterations, max_iterations, deadline):
+    def _phase_one(self):
         """Make the basis dual feasible by solving the auxiliary problem:
         zero right-hand sides, boxed columns fixed at 0, columns bounded
         below only in [0, 1], above only in [-1, 0], free ones in [-1, 1].
 
-        Returns (result, iterations); result None hands the basis, now dual
-        feasible for the LP, back to phase 2.
+        Returns a result, or None to hand the basis, now dual feasible for
+        the LP, back to phase 2.
         """
         lower, upper, rhs = self.lower, self.upper, self.rhs
         unboxed = ~(np.isfinite(lower) & np.isfinite(upper))
@@ -500,30 +482,30 @@ class _Run:
         self.rhs = np.zeros(self.m)
         self.status[self.status == NB_FREE] = NB_LOWER
         self.x = self._recompute_x()
-        result, iterations = self._dual(iterations, max_iterations, None, deadline)
+        result = self._dual(None)
         self.lower, self.upper, self.rhs = lower, upper, rhs
         back = unboxed & (self.status != BASIC)
         self.status[back] = _initial_status(lower[back], upper[back])
         self.x = self._recompute_x()
         if result.status != "optimal":          # stalled or interrupted
-            return self._result(result.status, iterations), iterations
+            return self._result(result.status)
         self._price()
         if self._make_dual_feasible((upper - lower) > EPS_PIVOT) is not None:
-            return None, iterations
+            return None
         # a ray of negative cost: the LP is unbounded if it is feasible at all
         cost, self.cost = self.cost, np.zeros(self.total)
-        result, iterations = self._dual(iterations, max_iterations, None, deadline)
+        result = self._dual(None)
         self.cost = cost
         if result.status == "optimal":
-            return self._result("unbounded", iterations), iterations
-        return result, iterations
+            return self._result("unbounded")
+        return result
 
-    def _dual(self, iterations, max_iterations, cutoff, deadline):
+    def _dual(self, cutoff):
         """Bounded dual simplex from the current basis, made dual feasible by
         bound flips, under the bounds in force.
 
-        Returns (result, iterations); result None when only phase 1 can make
-        the basis dual feasible.
+        Returns a result, or None when only phase 1 can make the basis dual
+        feasible.
         """
         movable = (self.upper - self.lower) > EPS_PIVOT
         span = np.where(movable, self.upper - self.lower, 0.0)
@@ -534,23 +516,23 @@ class _Run:
         checked = False                 # x and d recomputed since the last pivot
         fresh = False                   # x recomputed, and no pivot or flip since
         while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                return self._result("interrupted", iterations), iterations
-            if iterations > max_iterations:
-                return self._result("stalled", iterations), iterations
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                return self._result("interrupted")
+            if self.iterations > self.max_iterations:
+                return self._result("stalled")
             if self.reduced is None:            # refactorized since last pivot
                 self._price()
                 fresh = False
                 if self._make_dual_feasible(movable) is None:
-                    return None, iterations
+                    return None
             trusted = checked or self.factors.k == 0
             if cutoff is not None:
                 objective = float(self.cost @ self.x) + self.ctx.constant
                 if objective >= cutoff:
                     if trusted:
-                        return self._result("cutoff", iterations, objective), iterations
+                        return self._result("cutoff", objective)
                     if self._confirm(movable) is None:
-                        return None, iterations
+                        return None
                     checked = True
                     continue
 
@@ -569,11 +551,10 @@ class _Run:
                     r = -1
             if r < 0:                           # no row is infeasible
                 if trusted:
-                    x = self.x if fresh else None
-                    return self._result("optimal", iterations, x=x), iterations
+                    return self._result("optimal", x=self.x if fresh else None)
                 flips = self._confirm(movable)
                 if flips is None:
-                    return None, iterations
+                    return None
                 checked, fresh = True, not flips
                 continue
             leaving = int(basis[r])
@@ -592,9 +573,9 @@ class _Run:
                                      span[cand], excess[r], bland)
             if found is None:
                 if trusted:
-                    return self._result("infeasible", iterations), iterations
+                    return self._result("infeasible")
                 if self._confirm(movable) is None:
-                    return None, iterations
+                    return None
                 checked = True
                 continue
             pick, flips, step = found
@@ -632,13 +613,13 @@ class _Run:
             if weights.max() > 1e8:
                 weights[:] = 1.0
 
-            iterations += 1
+            self.iterations += 1
             checked = fresh = False
             degenerate_run = degenerate_run + 1 if step <= EPS_COST else 0
             if self.factors.update(r, w):
                 self._refactorize()
 
-    def _result(self, status, iterations, objective=None, x=None) -> LpResult:
+    def _result(self, status, objective=None, x=None) -> LpResult:
         """The result of a verdict; an optimal one takes x when given (it must
         equal a fresh recomputation) and recomputes it otherwise."""
         factors = self.factors if status in ("optimal", "infeasible") else None
@@ -649,5 +630,5 @@ class _Run:
                 x = self._recompute_x()
             objective = float(self.cost @ x) + self.ctx.constant
             x = x[: self.n].copy()
-        return LpResult(status, x, objective, iterations, basis,
+        return LpResult(status, x, objective, self.iterations, basis,
                         self.factorizations, self.start_factors)

@@ -361,12 +361,10 @@ def highs_solve(problem, int_ids=()):
 
     if not len(problem.objective):
         return problem.constant, np.zeros(0)
-    lb = np.where(problem.senses == "L", -np.inf, problem.rhs)
-    ub = np.where(problem.senses == "G", np.inf, problem.rhs)
     integrality = np.zeros(len(problem.objective))
     integrality[list(int_ids)] = 1
     res = highs_milp(problem.objective,
-                     constraints=LinearConstraint(problem.rows, lb, ub),
+                     constraints=LinearConstraint(problem.rows, *problem.row_bounds),
                      integrality=integrality,
                      bounds=Bounds(problem.lower, problem.upper),
                      options={"mip_rel_gap": 0.0})
@@ -377,9 +375,8 @@ def highs_solve(problem, int_ids=()):
 def violation(problem, x):
     """Largest bound or row violation of x in the LpProblem."""
     activity = problem.rows @ x
-    rows = np.where(problem.senses == "L", activity - problem.rhs,
-                    np.where(problem.senses == "G", problem.rhs - activity,
-                             np.abs(activity - problem.rhs)))
+    row_lo, row_hi = problem.row_bounds
+    rows = np.maximum(row_lo - activity, activity - row_hi)
     return max(np.max(problem.lower - x, initial=0.0),
                np.max(x - problem.upper, initial=0.0), np.max(rows, initial=0.0))
 
@@ -400,7 +397,7 @@ class TestPresolve:
         scenario = corpus_scenario(kind, seed)
         model, plan_vars = build_model(scenario)
         presolved = presolve(*model_to_lp(model))
-        assert not presolved.infeasible
+        assert presolved is not None
         kept = set(presolved.columns.tolist())
         for key in forward_unreachable(scenario):
             vid = plan_vars.carrier_at[key]
@@ -413,7 +410,7 @@ class TestPresolve:
         model = corpus_model(kind, seed)
         problem, int_ids = model_to_lp(model)
         presolved = presolve(problem, int_ids)
-        assert not presolved.infeasible
+        assert presolved is not None
         reduced = LpSolver(presolved.problem).solve()
         assert reduced.status == "optimal"
         # presolve rounds integer bounds, which lifts the relaxation by
@@ -433,7 +430,7 @@ class TestPresolve:
     def test_reduced_integer_optimum_expands_to_a_full_one(self, kind, seed):
         model = corpus_model(kind, seed)
         presolved = presolve(*model_to_lp(model))
-        assert not presolved.infeasible
+        assert presolved is not None
         optimum, x = highs_solve(presolved.problem, presolved.int_ids)
         x[presolved.int_ids] = np.round(x[presolved.int_ids])
         check = milp.evaluate(model, presolved.expand(x))
@@ -491,7 +488,7 @@ class TestPresolve:
         # x <= 1 - y <= 1 and x >= 2 + y >= 2: the bounds cross, no LP needed
         m.add_constraint(LinExpr({x: 1.0, y: 1.0}), Sense.LE, 1.0, "low")
         m.add_constraint(LinExpr({x: 1.0, y: -1.0}), Sense.GE, 2.0, "high")
-        assert presolve(*model_to_lp(m)).infeasible
+        assert presolve(*model_to_lp(m)) is None
         res = solve_milp(m)
         assert res.status == "infeasible" and res.nodes == 0 and res.x is None
 
@@ -502,7 +499,7 @@ class TestPresolve:
         m.add_constraint(LinExpr({x: 1.0}), Sense.EQ, 1.0, "fix_x")
         m.add_constraint(LinExpr({x: 1.0}), Sense.LE, 0.5, "after_fix")
         m.add_constraint(LinExpr({y: 1.0}), Sense.LE, 1.0, "free_y")
-        assert presolve(*model_to_lp(m)).infeasible
+        assert presolve(*model_to_lp(m)) is None
 
     @pytest.mark.parametrize("kind, seed", [
         *(("tiny", seed) for seed in range(10)), ("scaling", 0),
@@ -512,7 +509,7 @@ class TestPresolve:
         problem, int_ids = model_to_lp(model)
         presolved = presolve(problem, int_ids)
         full = LpSolver(problem).solve()
-        if presolved.infeasible:
+        if presolved is None:
             assert full.status == "infeasible"
             return
         reduced = LpSolver(presolved.problem).solve()
@@ -660,7 +657,7 @@ class TestIncumbentGate:
 
         calls = []
         model = odd_cycle_model()
-        assert not presolve(*model_to_lp(model)).infeasible
+        assert presolve(*model_to_lp(model)) is not None
         monkeypatch.setattr(LpSolver, "solve", recorded)
         res = solve_milp(model, round_root=calls.append)
         assert res.status == "infeasible" and statuses == ["infeasible"]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("section, key, value", [
         ("team", "n_A", None), ("horizon", "n_T", 3.5), ("ground_truth", None, []),
+        ("params", "xi", math.nan), ("params", "xi", math.inf),
+        ("params", "launch_scale", math.nan), ("params", "launch_scale", math.inf),
     ])
     def test_malformed_document_exits_two(self, tmp_path, small_path, capsys,
                                           section, key, value):
@@ -99,8 +102,12 @@ class TestValidate:
         assert main(["plan", str(bad), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_missing_file(self, capsys):
-        assert main(["validate", "/nonexistent.json"]) == 2
+    @pytest.mark.parametrize("name, message", [
+        ("absent.json", "error: no such file: "), ("", "error: "),
+    ], ids=["missing", "directory"])
+    def test_missing_file(self, tmp_path, capsys, name, message):
+        assert main(["validate", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestPlan:
@@ -132,6 +139,14 @@ class TestPlan:
         assert main(["plan", str(small_path), "-o", str(tmp_path / "o"), *flag]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+    def test_output_path_that_is_a_file_exits_two(self, small_path, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main(["plan", str(small_path), "-o", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == "kept"
+        assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
     def test_plan_round_trips(self, small_path, tmp_path):
         scenario, _ = load_scenario(small_path.read_text())

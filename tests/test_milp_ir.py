@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scoutplan import milp
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
@@ -127,11 +128,46 @@ class TestLowering:
         assert len(problem.objective) == len(problem.lower) == 4
 
     def test_arrays_are_read_only(self):
-        arrays = milp.model_arrays(tiny_model())
+        problem, integer = milp.model_arrays(tiny_model())
         with pytest.raises(ValueError):
-            arrays.objective[0] = 1.0
+            problem.objective[0] = 1.0
         with pytest.raises(ValueError):
-            arrays.rows.data[0] = 1.0
+            problem.rows.data[0] = 1.0
+        with pytest.raises(ValueError):
+            integer[0] = False
+
+
+def lp_problem(objective=(1.0, 1.0), rows=((1.0, 2.0), (3.0, 4.0)),
+               senses=("L", "G"), rhs=(5.0, 6.0), lower=(0.0, 0.0),
+               upper=(1.0, 1.0)):
+    return milp.LpProblem(np.array(objective), sp.csr_matrix(np.array(rows)),
+                          np.array(senses), np.array(rhs), np.array(lower),
+                          np.array(upper))
+
+
+class TestLpProblem:
+    @pytest.mark.parametrize("field, value", [
+        ("objective", (1.0,)), ("senses", ("L",)), ("rhs", (5.0, 6.0, 7.0)),
+        ("lower", (0.0,)), ("upper", (1.0, 1.0, 1.0)),
+    ])
+    def test_inconsistent_dimensions_rejected(self, field, value):
+        with pytest.raises(ValueError, match="inconsistent problem dimensions"):
+            lp_problem(**{field: value})
+
+    def test_lower_above_upper_rejected(self):
+        with pytest.raises(ValueError, match="lower bound above upper bound"):
+            lp_problem(lower=(0.0, 2.0))
+
+    def test_unknown_sense_rejected(self):
+        with pytest.raises(ValueError, match="unknown sense 'N'"):
+            lp_problem(senses=("L", "N"))
+
+    def test_row_bounds(self):
+        problem = lp_problem(rows=((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)),
+                             senses=("L", "E", "G"), rhs=(5.0, -2.0, 3.0))
+        lo, hi = problem.row_bounds
+        assert lo.tolist() == [-math.inf, -2.0, 3.0]
+        assert hi.tolist() == [5.0, -2.0, math.inf]
 
 
 class TestMps:
@@ -202,7 +238,7 @@ def parse_mps(text: str):
 def brute_force_optimum(model: Model):
     """Enumerate the integer lattice; continuous vars sit at their best bound
     per objective sign (models below keep continuous vars unconstrained)."""
-    int_ids = np.flatnonzero(milp.model_arrays(model).integer).tolist()
+    int_ids = np.flatnonzero(milp.model_arrays(model)[1]).tolist()
     grids = [range(int(model.variables[i].lower), int(model.variables[i].upper) + 1)
              for i in int_ids]
     best = math.inf

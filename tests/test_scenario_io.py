@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +163,13 @@ class TestLoader:
         doc[section] = value
         with pytest.raises(ParseError, match=message):
             load_scenario(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["explore_weight", "launch_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_parameter_rejected(self, field, value):
+        scenario, _ = load_scenario(minimal_document())
+        with pytest.raises(ValidationError, match=f"{field} .* finite and >= 0"):
+            replace(scenario, **{field: value})
 
     def test_inspection_decay_is_not_a_file_key(self):
         scenario, _ = load_scenario(minimal_document())

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from scoutplan import simplex
-from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpProblem, LpSolver, _Factors
+from scoutplan.milp import LpProblem
+from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpSolver, _Factors
 
 
 def boxed_lp(objective, rows, senses, rhs, lower, upper, constant=0.0):
@@ -337,9 +338,9 @@ def dual_calls(monkeypatch):
     dual = simplex._Run._dual
 
     def recorded(run, *args, **kwargs):
-        result, iterations = dual(run, *args, **kwargs)
-        calls.append(iterations)
-        return result, iterations
+        result = dual(run, *args, **kwargs)
+        calls.append(run.iterations)
+        return result
 
     monkeypatch.setattr(simplex._Run, "_dual", recorded)
     return calls
@@ -481,11 +482,11 @@ def phase_one_calls(monkeypatch):
     calls = []
     phase_one = simplex._Run._phase_one
 
-    def recorded(run, iterations, *args):
-        call = {"after": iterations, "structural": bool(np.any(run.basis < run.n))}
+    def recorded(run):
+        call = {"after": run.iterations, "structural": bool(np.any(run.basis < run.n))}
         calls.append(call)
-        call["result"], iterations = phase_one(run, iterations, *args)
-        return call["result"], iterations
+        call["result"] = phase_one(run)
+        return call["result"]
 
     monkeypatch.setattr(simplex._Run, "_phase_one", recorded)
     return calls
