@@ -4,10 +4,13 @@
 Runs the solves of plan-ablation8 (node limit 25), mission-ablation8 (node
 limit 5 per replan), certify-random (three (5,7,5,3) scenarios) and
 oracle-tiny (200 tiny scenarios) at the benchmark's settings, with
-`LpSolver.solve` wrapped, and prints one line per workload: LP solves,
-pivots, factorizations, and a sha256 over the status, iterations,
-factorizations, objective, x and basis of every LP result in call order.
-Two trees that print the same lines made the same LP solves.  The script
+`LpSolver.solve` and `presolve` wrapped, and prints one line per workload:
+LP solves, pivots, factorizations, and a sha256 over the status,
+iterations, factorizations, objective, x and basis of every LP result in
+call order; then the number of presolves and a sha256 over every presolved
+problem: the reduced `LpProblem`'s arrays, `int_ids`, `columns`, `values`
+and the `aggregated` map, or the infeasible verdict.  Two trees that print
+the same lines made the same presolves and the same LP solves.  The script
 exits 1 when its counts differ from the `MilpResult` counters of the same
 solves.  OpenBLAS is pinned to one thread, as the benchmark pins it, because
 another thread count may sum in another order.
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scoutplan import SolveOptions, executor, planner, simplex
+from scoutplan import SolveOptions, branch_bound, executor, planner, simplex
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.scenario import load_scenario_file
 
@@ -58,11 +61,8 @@ WORKLOADS = {"plan-ablation8": plan_ablation8, "mission-ablation8": mission_abla
              "certify-random": certify_random, "oracle-tiny": oracle_tiny}
 
 
-def _digest(digest, res) -> None:
-    digest.update(f"{res.status}|{res.iterations}|{res.factorizations}|"
-                  f"{res.objective!r}|".encode())
-    for array in (res.x, None if res.basis is None else res.basis.basic,
-                  None if res.basis is None else res.basis.status):
+def _digest_arrays(digest, arrays) -> None:
+    for array in arrays:
         if array is None:
             digest.update(b"-")
         else:
@@ -70,12 +70,34 @@ def _digest(digest, res) -> None:
             digest.update(struct.pack("<q", len(array)) + array.tobytes())
 
 
+def _digest(digest, res) -> None:
+    digest.update(f"{res.status}|{res.iterations}|{res.factorizations}|"
+                  f"{res.objective!r}|".encode())
+    _digest_arrays(digest, (res.x, None if res.basis is None else res.basis.basic,
+                            None if res.basis is None else res.basis.status))
+
+
+def _digest_presolved(digest, presolved) -> None:
+    if presolved is None:
+        digest.update(b"infeasible|")
+        return
+    problem, aggregated = presolved.problem, presolved.aggregated
+    rows = problem.rows
+    digest.update(f"{''.join(problem.senses.tolist())}|{problem.constant!r}|".encode())
+    _digest_arrays(digest, (
+        problem.objective, rows.indptr, rows.indices, rows.data, problem.rhs,
+        problem.lower, problem.upper, presolved.int_ids, presolved.columns,
+        presolved.values, aggregated.indptr, aggregated.indices, aggregated.data))
+
+
 def run(name, workload) -> bool:
     """Print the workload's line; False when the counts disagree."""
-    digest = hashlib.sha256()
+    digest, presolve_digest = hashlib.sha256(), hashlib.sha256()
     lp = {"solves": 0, "pivots": 0, "factorizations": 0}
     milp = dict.fromkeys(lp, 0)
+    presolves = 0
     solve, solve_milp = simplex.LpSolver.solve, planner.solve_milp
+    presolve = branch_bound.presolve
 
     def lp_solve(self, *args, **kwargs):
         res = solve(self, *args, **kwargs)
@@ -85,6 +107,13 @@ def run(name, workload) -> bool:
         _digest(digest, res)
         return res
 
+    def digested_presolve(*args, **kwargs):
+        nonlocal presolves
+        presolved = presolve(*args, **kwargs)
+        presolves += 1
+        _digest_presolved(presolve_digest, presolved)
+        return presolved
+
     def milp_solve(*args, **kwargs):
         result = solve_milp(*args, **kwargs)
         milp["solves"] += result.lp_solves
@@ -93,12 +122,15 @@ def run(name, workload) -> bool:
         return result
 
     simplex.LpSolver.solve, planner.solve_milp = lp_solve, milp_solve
+    branch_bound.presolve = digested_presolve
     try:
         workload()
     finally:
         simplex.LpSolver.solve, planner.solve_milp = solve, solve_milp
+        branch_bound.presolve = presolve
     print(f"{name} solves {lp['solves']} pivots {lp['pivots']} "
-          f"factorizations {lp['factorizations']} sha256 {digest.hexdigest()}")
+          f"factorizations {lp['factorizations']} sha256 {digest.hexdigest()} "
+          f"presolves {presolves} sha256 {presolve_digest.hexdigest()}")
     if lp != milp:
         print(f"{name}: LpSolver.solve counted {lp}, MilpResult {milp}",
               file=sys.stderr)

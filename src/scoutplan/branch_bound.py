@@ -1,15 +1,8 @@
-"""Exact MILP solver: presolve, then branch and bound on LP relaxations.
+"""Exact MILP solver: branch and bound on LP relaxations.
 
-presolve shrinks the lowered relaxation, a milp.LpProblem, before any
-simplex sees it: bound propagation from row activities, redundant-row
-removal, dual fixing and the aggregation of doubleton equations, to a
-fixpoint, then fixed columns leave the problem, or it returns None when the
-reductions show the relaxation infeasible.  An aggregation substitutes one
-column of a two-column equality row by an affine function of the other, so
-the postsolve map is affine: Presolved.expand puts fixed values back and
-recomputes each aggregated column from its kept partner.  The search runs
-over the remaining columns and expands every point back to the full model
-before it is evaluated or returned.
+The search runs on the presolved relaxation (presolve.py): over the columns
+presolve keeps, expanding every point back to the full model with
+Presolved.expand before it is evaluated or returned.
 
 solve_milp owns the search from the root down: it presolves the model once,
 builds one LP solver on the result and solves the root relaxation, cold, as
@@ -54,10 +47,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import milp
 from .milp import LpProblem
+from .presolve import presolve
 from .simplex import Basis, LpSolver
 
 log = logging.getLogger("scoutplan.branch_bound")
@@ -97,301 +90,6 @@ def model_to_lp(model: milp.Model) -> tuple[LpProblem, list[int]]:
     """LP relaxation of the model plus the ids of its integer variables."""
     problem, integer = milp.model_arrays(model)
     return problem, np.flatnonzero(integer).tolist()
-
-
-_MIN_COEF = 1e-7            # smaller coefficients never imply a bound
-_REDUNDANT_TOL = 1e-9       # slack a row keeps at its worst to count as redundant
-_BOUND_STEP = 1e-3          # share of its range a continuous bound must gain
-_MAX_RATIO = 1e3            # largest |a_k/a_j| an aggregation substitutes
-_EXACT_TOL = 1e-9           # a ratio this close to an integer is integral
-_CANCELLED = 1e-12          # a merged coefficient this small has cancelled
-_PRESOLVE_ROUNDS = 100      # safety cap; the reductions reach a fixpoint first
-
-
-@dataclass(frozen=True)
-class Presolved:
-    """A relaxation with its fixed and aggregated columns and its redundant
-    rows taken out.
-
-    problem ranges over the kept columns only and int_ids index into it; its
-    constant and rhs absorb the fixed and aggregated columns.  values is a
-    full-length point holding every fixed column's value and the constant
-    part of every aggregated column; aggregated (full space × kept columns)
-    holds the rest of each aggregated column, so a reduced point x expands
-    to values + aggregated @ x with x placed at columns.
-    """
-
-    problem: LpProblem
-    int_ids: list[int]
-    columns: np.ndarray         # full-space id of each kept column
-    values: np.ndarray
-    aggregated: sp.csr_matrix
-
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """The full-space point of a reduced one."""
-        full = self.values + self.aggregated @ x
-        full[self.columns] = x
-        return full
-
-
-def _merge_entries(row_of, col_of, coef, n):
-    """Nonzeros sorted by row and column, duplicates summed, cancellations
-    dropped."""
-    key = row_of * n + col_of
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    coef = np.add.reduceat(coef[order], start)
-    key = key[start]
-    keep = np.abs(coef) > _CANCELLED
-    return key[keep] // n, key[keep] % n, coef[keep]
-
-
-def _pick_doubletons(row_of, col_of, coef, doubleton, row_lo, lower, upper,
-                     integer, count):
-    """Aggregations x_j = beta + rho x_k, one per doubleton equation picked.
-
-    doubleton marks the equality rows with exactly two unfixed columns; their
-    fixed columns move into beta.  A continuous column is eliminated when
-    the pair has one; an integer j only when k is integer and rho and beta
-    are integers, so x_j stays integral whenever x_k is.  Ties go to the
-    column with fewer nonzeros (count), then to the lower id.  Each column
-    takes part in at most one picked row, the lowest such row winning.
-    Returns (rows, j, k, rho, beta).
-    """
-    m, n = len(row_lo), len(lower)
-    in_row = doubleton[row_of]
-    free = upper > lower
-    first, second = np.flatnonzero(in_row & free[col_of]).reshape(-1, 2).T
-    settled = in_row & ~free[col_of]
-    fixed_part = np.bincount(row_of[settled],
-                             coef[settled] * lower[col_of[settled]], m)
-    rows = row_of[first]
-    b = (row_lo - fixed_part)[rows]
-    cols = np.stack([col_of[first], col_of[second]])
-    a = np.stack([coef[first], coef[second]])
-    rho, beta = -a[::-1] / a, b / a         # side s eliminated for side 1 - s
-    ints = integer[cols]
-    exact = (np.abs(rho - np.round(rho)) <= _EXACT_TOL) & (
-        np.abs(beta - np.round(beta)) <= _EXACT_TOL)
-    valid = (np.abs(rho) <= _MAX_RATIO) & (~ints | (ints[::-1] & exact))
-    nnz = count[cols]
-    second_better = (ints[1] < ints[0]) | ((ints[1] == ints[0]) & (nnz[1] < nnz[0]))
-    side = np.where(valid.all(axis=0), second_better, valid[1]).astype(int)
-    ok = np.flatnonzero(valid.any(axis=0))
-    side = side[ok]
-    rows, j, k = rows[ok], cols[side, ok], cols[1 - side, ok]
-    rho, beta = rho[side, ok], beta[side, ok]
-    rho[integer[j]] = np.round(rho[integer[j]])
-    beta[integer[j]] = np.round(beta[integer[j]])
-
-    # the lowest remaining row of each of its columns is picked; rows that
-    # share a column with a picked one leave, until no candidate is left
-    picked = np.zeros(len(rows), dtype=bool)
-    used = np.zeros(n, dtype=bool)
-    left = np.ones(len(rows), dtype=bool)
-    while left.any():
-        lowest = np.full(n, m)
-        np.minimum.at(lowest, j[left], rows[left])
-        np.minimum.at(lowest, k[left], rows[left])
-        now = left & (lowest[j] == rows) & (lowest[k] == rows)
-        picked |= now
-        used[j[now]] = used[k[now]] = True
-        left &= ~used[j] & ~used[k]
-    return rows[picked], j[picked], k[picked], rho[picked], beta[picked]
-
-
-def presolve(problem: LpProblem, int_ids) -> Presolved | None:
-    """Shrink the relaxation by the standard MIP presolve reductions.
-
-    Repeats until nothing changes: (a) tighten column bounds from each row's
-    minimum and maximum activity, rounding integer bounds; (b) drop rows the
-    bounds make redundant; (c) dual fixing: a column whose objective does not
-    reward moving it away from a bound, and that no remaining row stops from
-    moving there, is fixed at that bound; (e) doubleton equations: an
-    equality row left with two unfixed columns, a_j x_j + a_k x_k = b,
-    substitutes x_j = b/a_j - (a_k/a_j) x_k into every other row and the
-    objective, moves x_j's bounds onto x_k and leaves with column j (see
-    _pick_doubletons for which pairs qualify; each column takes part in one
-    aggregation per round, so chains resolve over later rounds).  Then (d)
-    fixed columns leave.  The substitutions compose into the postsolve map
-    Presolved.aggregated once the loop ends.  Returns None when the bounds
-    and rows admit no point.  Every step is a vectorised pass over all
-    nonzeros, so the result depends on the problem alone.  See
-    Savelsbergh (1994), ORSA J. Computing 6(4); Andersen and Andersen
-    (1995), Math. Programming 71; and Achterberg et al. (2020), INFORMS J.
-    Computing 32(2).
-    """
-    rows = problem.rows.tocsr(copy=True)
-    rows.sum_duplicates()
-    rows.eliminate_zeros()
-    m, n = rows.shape
-    row_of = np.repeat(np.arange(m), np.diff(rows.indptr))
-    col_of, coef = rows.indices.astype(np.intp), rows.data
-    row_lo, row_hi = problem.row_bounds
-    equality = row_lo == row_hi
-    lower = np.array(problem.lower, dtype=float)
-    upper = np.array(problem.upper, dtype=float)
-    integer = np.zeros(n, dtype=bool)
-    integer[list(int_ids)] = True
-    cost = np.array(problem.objective, dtype=float)
-    constant = problem.constant
-    active = np.ones(m, dtype=bool)
-    # aggregated column j: x_j = offset[j] + ratio[j] * x[partner[j]]
-    partner = np.full(n, -1)
-    ratio, offset = np.zeros(n), np.zeros(n)
-
-    def activity(contrib):
-        """Per-row finite sum and count of infinite terms."""
-        unbounded = np.isinf(contrib)
-        finite = np.bincount(row_of, np.where(unbounded, 0.0, contrib), m)
-        return finite, np.bincount(row_of, unbounded, m), unbounded
-
-    for _ in range(_PRESOLVE_ROUNDS):
-        pos = coef > 0
-        has_lo, has_hi = np.isfinite(row_lo)[row_of], np.isfinite(row_hi)[row_of]
-        lo_nz, hi_nz = lower[col_of], upper[col_of]
-        min_nz = coef * np.where(pos, lo_nz, hi_nz)
-        max_nz = coef * np.where(pos, hi_nz, lo_nz)
-        min_fin, min_inf, min_unb = activity(min_nz)
-        max_fin, max_inf, max_unb = activity(max_nz)
-        min_act = np.where(min_inf > 0, -np.inf, min_fin)
-        max_act = np.where(max_inf > 0, np.inf, max_fin)
-        if np.any(active & ((min_act > row_hi + milp.FEAS_TOL)
-                            | (max_act < row_lo - milp.FEAS_TOL))):
-            return None
-
-        # (b) a row whose columns are all fixed is checked at the feasibility
-        # tolerance; the bounds of every other row must satisfy it outright
-        free_nz = (hi_nz > lo_nz).astype(float)
-        tol = np.where(np.bincount(row_of, free_nz, m) > 0, _REDUNDANT_TOL,
-                       milp.FEAS_TOL)
-        redundant = active & (min_act >= row_lo - tol) & (max_act <= row_hi + tol)
-        active &= ~redundant
-
-        # (a) bounds each remaining row implies on each of its columns
-        live = active[row_of] & (np.abs(coef) >= _MIN_COEF)
-        rest_min = min_fin[row_of] - np.where(min_unb, 0.0, min_nz)
-        rest_max = max_fin[row_of] - np.where(max_unb, 0.0, max_nz)
-        # the rest of the row is bounded when no other term is infinite
-        from_hi = live & has_hi & (min_inf[row_of] - min_unb == 0)
-        from_lo = live & has_lo & (max_inf[row_of] - max_unb == 0)
-        by_hi = (row_hi[row_of] - rest_min) / coef
-        by_lo = (row_lo[row_of] - rest_max) / coef
-        new_lower, new_upper = lower.copy(), upper.copy()
-        np.minimum.at(new_upper, col_of[from_hi & pos], by_hi[from_hi & pos])
-        np.maximum.at(new_lower, col_of[from_hi & ~pos], by_hi[from_hi & ~pos])
-        np.maximum.at(new_lower, col_of[from_lo & pos], by_lo[from_lo & pos])
-        np.minimum.at(new_upper, col_of[from_lo & ~pos], by_lo[from_lo & ~pos])
-        new_lower[integer] = np.ceil(new_lower[integer] - milp.INT_TOL)
-        new_upper[integer] = np.floor(new_upper[integer] + milp.INT_TOL)
-        # continuous bounds move only by a real step, so the rounds terminate
-        width = upper - lower
-        step = np.where(integer | ~np.isfinite(width), 0.0,
-                        np.maximum(_REDUNDANT_TOL, _BOUND_STEP * width))
-        raise_lower = new_lower > lower + step
-        cut_upper = new_upper < upper - step
-        lower = np.where(raise_lower, new_lower, lower)
-        upper = np.where(cut_upper, new_upper, upper)
-        if np.any((lower > upper) & (integer | (lower > upper + milp.FEAS_TOL))):
-            return None
-        # continuous bounds that meet within the tolerance fix their column
-        meet = (lower != upper) & (upper - lower <= _REDUNDANT_TOL)
-        lower[meet] = upper[meet] = np.clip((lower[meet] + upper[meet]) / 2,
-                                            problem.lower[meet], problem.upper[meet])
-
-        # (c) dual fixing on the locks of the remaining rows: a nonzero locks
-        # its column against moves that can break its row
-        kept = active[row_of]
-        down = np.bincount(col_of[kept & np.where(pos, has_lo, has_hi)], minlength=n)
-        up = np.bincount(col_of[kept & np.where(pos, has_hi, has_lo)], minlength=n)
-        free = upper > lower
-        at_lower = free & (cost >= 0) & (down == 0) & np.isfinite(lower)
-        at_upper = free & ~at_lower & (cost <= 0) & (up == 0) & np.isfinite(upper)
-        upper = np.where(at_lower, lower, upper)
-        lower = np.where(at_upper, upper, lower)
-
-        # (e) doubleton equations
-        free = upper > lower
-        unfixed = np.bincount(row_of[kept & free[col_of]], minlength=m)
-        doubleton = active & equality & (unfixed == 2)
-        pairs = ()
-        if doubleton.any():
-            pairs, j, k, rho, beta = _pick_doubletons(
-                row_of, col_of, coef, doubleton, row_lo, lower, upper, integer,
-                np.bincount(col_of[kept], minlength=n))
-        if len(pairs):
-            active[pairs] = False
-            # x_j's bounds move onto x_k
-            lo_k = (np.where(rho > 0, lower[j], upper[j]) - beta) / rho
-            hi_k = (np.where(rho > 0, upper[j], lower[j]) - beta) / rho
-            whole = integer[k]
-            lo_k[whole] = np.ceil(lo_k[whole] - milp.INT_TOL)
-            hi_k[whole] = np.floor(hi_k[whole] + milp.INT_TOL)
-            lower[k] = np.maximum(lower[k], lo_k)
-            upper[k] = np.minimum(upper[k], hi_k)
-            if np.any((lower[k] > upper[k])
-                      & (whole | (lower[k] > upper[k] + milp.FEAS_TOL))):
-                return None
-            cost[k] += rho * cost[j]
-            constant += float(cost[j] @ beta)
-            cost[j] = 0.0
-            partner[j], ratio[j], offset[j] = k, rho, beta
-            # column j has no row and no cost left: free bounds keep every
-            # other reduction away from it
-            lower[j], upper[j] = -np.inf, np.inf
-            # a_ij x_j in row i becomes a_ij beta + a_ij rho x_k
-            slot = np.full(n, -1)
-            slot[j] = np.arange(len(j))
-            kept = active[row_of]
-            hit = kept & (slot[col_of] >= 0)
-            which = slot[col_of[hit]]
-            shift = np.bincount(row_of[hit], coef[hit] * beta[which], m)
-            row_lo, row_hi = row_lo - shift, row_hi - shift
-            stay = kept & ~hit
-            row_of, col_of, coef = _merge_entries(
-                np.concatenate([row_of[stay], row_of[hit]]),
-                np.concatenate([col_of[stay], k[which]]),
-                np.concatenate([coef[stay], coef[hit] * rho[which]]), n)
-
-        if not (redundant.any() or raise_lower.any() or cut_upper.any()
-                or meet.any() or at_lower.any() or at_upper.any() or len(pairs)):
-            break
-
-    # (d) fixed columns leave; their values move into the rhs and constant
-    fixed = lower == upper
-    gone = partner >= 0
-    columns = np.flatnonzero(~fixed & ~gone)
-    values = np.where(fixed, lower, 0.0)
-    place = np.full(n, -1)
-    place[columns] = np.arange(len(columns))
-    # postsolve: follow each aggregation chain to a kept or fixed column
-    ids = np.flatnonzero(gone)
-    to, scale, shift = partner[ids], ratio[ids], offset[ids]
-    while (chained := gone[to]).any():
-        via = to[chained]
-        shift[chained] += scale[chained] * offset[via]
-        scale[chained] *= ratio[via]
-        to[chained] = partner[via]
-    values[ids] = shift + scale * values[to]
-    onto = place[to] >= 0
-    aggregated = sp.csr_matrix((scale[onto], (ids[onto], place[to[onto]])),
-                               shape=(n, len(columns)))
-
-    kept = active[row_of] & (place[col_of] >= 0)
-    rhs = (np.where(problem.senses == "L", row_hi, row_lo)
-           - np.bincount(row_of, coef * values[col_of], m))[active]
-    indptr = np.zeros(active.sum() + 1, dtype=np.int64)
-    np.cumsum(np.bincount((np.cumsum(active) - 1)[row_of[kept]],
-                          minlength=len(indptr) - 1), out=indptr[1:])
-    reduced = LpProblem(
-        cost[columns],
-        sp.csr_matrix((coef[kept], place[col_of[kept]], indptr),
-                      shape=(len(indptr) - 1, len(columns))),
-        problem.senses[active], rhs, lower[columns], upper[columns],
-        constant=constant + float(cost @ values))
-    return Presolved(reduced, np.flatnonzero(integer[columns]).tolist(), columns,
-                     values, aggregated)
 
 
 @dataclass

@@ -140,8 +140,8 @@ class LpProblem:
         if np.any(self.lower > self.upper):
             raise ValueError("variable with lower bound above upper bound")
         senses = np.asarray(self.senses)
-        unknown = ~np.isin(senses, ("L", "E", "G"))
-        if unknown.any():
+        unknown = ~((senses == "L") | (senses == "E") | (senses == "G"))
+        if np.count_nonzero(unknown):
             raise ValueError(f"unknown sense {str(senses[unknown][0])!r}")
 
     @property

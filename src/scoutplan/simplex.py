@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrsv
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_tocsc
 from scipy.sparse.linalg import splu
 
 from .milp import LpProblem
@@ -132,10 +132,20 @@ class _Factors:
     def btran(self, c):
         """B⁻ᵀ c."""
         u = np.array(c, dtype=float)
+        return self._btran(u, self.etas[:self.k] @ u)
+
+    def btran_unit(self, r):
+        """B⁻ᵀ e_r, row r of B⁻¹.  The eta file's product with e_r is its
+        column r, up to the sign of a zero, which _btran's bincount erases."""
+        u = np.zeros(self.m)
+        u[r] = 1.0
+        return self._btran(u, self.etas[:self.k, r])
+
+    def _btran(self, u, etas_u):
+        """B⁻ᵀ u, given the product of the eta file with u."""
         k = self.k
         if k:
-            beta = dtrsv(self.tri, self.etas[:k] @ u)
-            u -= np.bincount(self.pos[:k], beta, self.m)
+            u -= np.bincount(self.pos[:k], dtrsv(self.tri, etas_u), self.m)
         return u if self.lu is None else self.lu.solve(u, trans="T")
 
     def update(self, r, w) -> bool:
@@ -224,13 +234,25 @@ class LpSolver:
 
         self.cost = np.concatenate([
             np.asarray(problem.objective, dtype=float), np.zeros(m)])
-        cols = sp.hstack([problem.rows.tocsc(), sp.eye(m, format="csc")],
-                         format="csc")
-        self.cols = cols
-        cols_t = cols.T.tocsr()
+        # cols = [A | I] in CSC: A's columns, each in row order, then one
+        # unit entry per slack.  Its arrays are also those of cols.T in CSR.
+        rows = problem.rows.tocsr()
+        nnz = int(rows.indptr[-1])
+        index = rows.indices.dtype if nnz + m + n < 2**31 else np.int64
+        indptr = np.empty(self.total + 1, dtype=index)
+        indices = np.empty(nnz + m, dtype=index)
+        data = np.empty(nnz + m)
+        csr_tocsc(m, n, rows.indptr.astype(index, copy=False),
+                  rows.indices.astype(index, copy=False), rows.data,
+                  indptr[:n + 1], indices[:nnz], data[:nnz])
+        indptr[n + 1:] = np.arange(nnz + 1, nnz + m + 1)
+        indices[nnz:] = np.arange(m)
+        data[nnz:] = 1.0
+        self.cols = cols = sp.csc_matrix((data, indices, indptr),
+                                         shape=(m, self.total))
         # the arguments of the kernels behind cols @ x and cols.T @ y
         self.col_arrays = (m, self.total, cols.indptr, cols.indices, cols.data)
-        self.row_arrays = (self.total, m, cols_t.indptr, cols_t.indices, cols_t.data)
+        self.row_arrays = (self.total, m, cols.indptr, cols.indices, cols.data)
         self.constant = problem.constant
 
     def solve(self, warm_start: Basis | None = None,
@@ -510,7 +532,6 @@ class _Run:
         movable = (self.upper - self.lower) > EPS_PIVOT
         span = np.where(movable, self.upper - self.lower, 0.0)
         weights = np.ones(self.m)       # dual devex reference weights, per row
-        unit = np.zeros(self.m)
         degenerate_run = 0
         self.reduced = None
         checked = False                 # x and d recomputed since the last pivot
@@ -561,9 +582,7 @@ class _Run:
             sigma = 1.0 if xb[r] < lb_b[r] else -1.0    # +1: leaves at its lower
 
             # row r of B⁻¹A; moving the duals by step s changes d by s·sigma·alpha
-            unit[r] = 1.0
-            alpha = self._times_cols(self.factors.btran(unit))
-            unit[r] = 0.0
+            alpha = self._times_cols(self.factors.btran_unit(r))
             # the columns whose reduced cost sigma·alpha moves towards zero
             on_neg, on_pos = ((self.lo_ok, self.hi_ok) if sigma > 0
                               else (self.hi_ok, self.lo_ok))

@@ -2,10 +2,12 @@ import itertools
 import logging
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scoutplan import branch_bound, milp, planner
 from scoutplan.branch_bound import (
@@ -13,7 +15,6 @@ from scoutplan.branch_bound import (
     SolveOptions,
     _branching_variable,
     model_to_lp,
-    presolve,
     solve_milp,
 )
 from scoutplan.formulation import (
@@ -23,6 +24,7 @@ from scoutplan.formulation import (
 )
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.milp import BINARY, CONTINUOUS, INTEGER, LinExpr, Model, Sense
+from scoutplan.presolve import Structure, implied_bounds, presolve
 from scoutplan.scenario import load_scenario_file
 from scoutplan.simplex import LpResult, LpSolver
 
@@ -415,7 +417,7 @@ class TestPresolve:
         assert reduced.status == "optimal"
         # presolve rounds integer bounds, which lifts the relaxation by
         # itself; the reference is the same presolve without aggregation
-        monkeypatch.setattr(branch_bound, "_pick_doubletons",
+        monkeypatch.setattr("scoutplan.presolve._pick_doubletons",
                             lambda *args: (np.zeros(0, dtype=int),) * 5)
         unaggregated = presolve(problem, int_ids)
         assert reduced.objective == pytest.approx(
@@ -516,6 +518,81 @@ class TestPresolve:
         assert full.status == reduced.status
         if full.status == "optimal":
             assert reduced.objective >= full.objective - 1e-7
+
+    @pytest.mark.parametrize("kind, seed", [*CORPUS[:6], ("bundled", 0),
+                                            ("doubletons", 0)])
+    def test_non_canonical_rows_presolve_like_their_canonical_form(self, kind,
+                                                                   seed):
+        problem, int_ids = model_to_lp(corpus_model(kind, seed))
+        assert problem.rows.has_canonical_format
+        messy = non_canonical(problem, np.random.default_rng(seed))
+        assert not messy.rows.has_canonical_format
+        assert presolved_arrays(presolve(messy, int_ids)) == presolved_arrays(
+            presolve(problem, int_ids))
+
+
+def non_canonical(problem, rng):
+    """The problem with each row's entries split into two exact halves, one
+    explicit zero added and the row's order shuffled."""
+    rows = problem.rows
+    m, n = rows.shape
+    row_of = np.repeat(np.arange(m), np.diff(rows.indptr))
+    row_of = np.concatenate([row_of, row_of, np.arange(m)])
+    col_of = np.concatenate([rows.indices, rows.indices, rng.integers(0, n, size=m)])
+    coef = np.concatenate([rows.data / 2, rows.data / 2, np.zeros(m)])
+    order = np.lexsort((rng.random(len(row_of)), row_of))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row_of, minlength=m))])
+    return replace(problem, rows=sp.csr_matrix((coef[order], col_of[order], indptr),
+                                               shape=(m, n)))
+
+
+def presolved_arrays(presolved):
+    """Every array of a Presolved as lists, for exact comparison."""
+    problem, aggregated = presolved.problem, presolved.aggregated
+    arrays = (problem.objective, problem.rows.indptr, problem.rows.indices,
+              problem.rows.data, problem.senses, problem.rhs, problem.lower,
+              problem.upper, presolved.columns, presolved.values,
+              aggregated.indptr, aggregated.indices, aggregated.data)
+    return ([np.asarray(a).tolist() for a in arrays], problem.constant,
+            presolved.int_ids)
+
+
+class TestImpliedBounds:
+    """One activity-and-implied-bound step on a hand-worked example."""
+
+    # x + y <= 3, x - y >= 1, 2x + z = 4 (not live), y + w <= 10, x + z >= 8
+    ROWS = sp.csr_matrix(np.array([[1, 1, 0, 0], [1, -1, 0, 0], [2, 0, 1, 0],
+                                   [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float))
+    ROW_LO = np.array([-np.inf, 1, 4, -np.inf, 8])
+    ROW_HI = np.array([3, np.inf, 4, 10, np.inf])
+    # x, y in [0, 5], z >= 0, w in [0, 2]: lower bounds, then upper bounds
+    BOUNDS = np.array([0, 0, 0, 0, 5, 5, np.inf, 2.0])
+    LIVE = np.array([True, True, False, True, True])
+
+    def structure(self, row_hi):
+        row_of = np.repeat(np.arange(5), np.diff(self.ROWS.indptr))
+        return Structure(row_of, self.ROWS.indices.astype(np.intp), self.ROWS.data,
+                         self.ROW_LO, row_hi, 4)
+
+    def test_live_rows_imply_bounds_and_redundant_rows_leave(self):
+        bounds = self.BOUNDS.copy()
+        live, implied = implied_bounds(self.structure(self.ROW_HI), bounds,
+                                       self.LIVE)
+        assert bounds.tolist() == self.BOUNDS.tolist()
+        # y + w <= 10 holds at its maximum 7 and leaves
+        assert live.tolist() == [True, True, False, False, True]
+        # x <= 3 and y <= 3 from the first row, x >= 1 and y <= 4 from the
+        # second; x + z >= 8 lifts z to 3 but says nothing on x, whose rest
+        # is unbounded; 2x + z = 4 is not live, so x <= 2 is not implied
+        assert implied.tolist() == [1, 0, 3, 0, 3, 3, np.inf, 2]
+
+    def test_live_row_outside_its_activity_range_is_infeasible(self):
+        row_hi = self.ROW_HI.copy()
+        row_hi[0] = -1.0            # x + y <= -1 with x, y >= 0
+        assert implied_bounds(self.structure(row_hi), self.BOUNDS, self.LIVE) is None
+        live = self.LIVE.copy()
+        live[0] = False
+        assert implied_bounds(self.structure(row_hi), self.BOUNDS, live) is not None
 
 
 def highs_optimum(model, relaxed=False):

@@ -1,4 +1,5 @@
-"""Smoke test of the LP fingerprint script over the four benchmark workloads."""
+"""Smoke test of the LP and presolve fingerprint script over the four
+benchmark workloads."""
 
 import os
 import re
@@ -21,4 +22,5 @@ def test_prints_one_line_per_workload_and_counts_agree():
         "plan-ablation8", "mission-ablation8", "certify-random", "oracle-tiny"]
     for line in lines:
         assert re.fullmatch(r"\S+ solves [1-9]\d* pivots \d+ factorizations \d+ "
+                            r"sha256 [0-9a-f]{64} presolves [1-9]\d* "
                             r"sha256 [0-9a-f]{64}", line), line

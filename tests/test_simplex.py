@@ -217,6 +217,9 @@ class TestFactors:
                            rtol=0, atol=1e-9)
         assert np.allclose(factors.btran(b), np.linalg.solve(dense.T, b),
                            rtol=0, atol=1e-9)
+        for r in range(self.m):
+            assert np.array_equal(factors.btran_unit(r),
+                                  factors.btran(np.eye(self.m)[r])), r
 
     @pytest.mark.parametrize("start", ["slack", "lu"])
     def test_solves_after_eta_updates_and_refactorization(self, start):
@@ -256,6 +259,35 @@ class TestFactors:
         twin = factors.copy()
         self.pivot(twin, basis.copy(), 1)
         assert (factors.k, twin.k) == (1, 2)
+
+
+class TestAssembly:
+    """LpSolver's [A | I] equals scipy's assembly, column and row arrays alike."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arrays_match_scipy_hstack(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = (0, 4) if seed == 0 else (int(rng.integers(2, 10)), int(rng.integers(2, 10)))
+        # the last row and the last column stay empty; entries are drawn with
+        # repeats, so rows hold duplicate and unsorted column indices
+        counts = rng.integers(0, 5, size=m)
+        if m:
+            counts[-1] = 0
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = rng.integers(0, n - 1, size=indptr[-1])
+        data = rng.uniform(-2, 2, size=indptr[-1])
+        rows = sp.csr_matrix((data, indices, indptr), shape=(m, n))
+        prob = LpProblem(np.zeros(n), rows, np.full(m, "E"), np.zeros(m),
+                         np.zeros(n), np.ones(n))
+        solver = LpSolver(prob)
+        cols = sp.hstack([rows.tocsc(), sp.eye(m, format="csc")], format="csc")
+        cols_t = cols.T.tocsr()
+        assert solver.col_arrays[:2] == (m, n + m)
+        assert solver.row_arrays[:2] == (n + m, m)
+        for ours, theirs in ((solver.col_arrays[2:], cols),
+                             (solver.row_arrays[2:], cols_t)):
+            for mine, scipys in zip(ours, (theirs.indptr, theirs.indices, theirs.data)):
+                assert np.array_equal(mine, scipys)
 
 
 def random_boxed_lp(seed, m=20, n=40):
