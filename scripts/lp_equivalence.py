@@ -9,11 +9,14 @@ LP solves, pivots, factorizations, and a sha256 over the status,
 iterations, factorizations, objective, x and basis of every LP result in
 call order; then the number of presolves and a sha256 over every presolved
 problem: the reduced `LpProblem`'s arrays, `int_ids`, `columns`, `values`
-and the `aggregated` map, or the infeasible verdict.  Two trees that print
-the same lines made the same presolves and the same LP solves.  The script
-exits 1 when its counts differ from the `MilpResult` counters of the same
-solves.  OpenBLAS is pinned to one thread, as the benchmark pins it, because
-another thread count may sum in another order.
+and the `aggregated` map, or the infeasible verdict; then a sha256 over
+every `solve_milp` answer: status, objective, best bound, gap, nodes and x.
+Two trees that print the same lines made the same presolves and the same LP
+solves; two whose answers hashes agree gave the same answers, even where
+their LP solves differ.  The script exits 1 when its counts differ from the
+`MilpResult` counters of the same solves.  OpenBLAS is pinned to one thread,
+as the benchmark pins it, because another thread count may sum in another
+order.
 
     PYTHONPATH=src python3 scripts/lp_equivalence.py
 """
@@ -90,9 +93,16 @@ def _digest_presolved(digest, presolved) -> None:
         presolved.values, aggregated.indptr, aggregated.indices, aggregated.data))
 
 
+def _digest_answer(digest, result) -> None:
+    digest.update(f"{result.status}|{result.objective!r}|{result.best_bound!r}|"
+                  f"{result.gap!r}|{result.nodes}|".encode())
+    _digest_arrays(digest, (result.x,))
+
+
 def run(name, workload) -> bool:
     """Print the workload's line; False when the counts disagree."""
     digest, presolve_digest = hashlib.sha256(), hashlib.sha256()
+    answers_digest = hashlib.sha256()
     lp = {"solves": 0, "pivots": 0, "factorizations": 0}
     milp = dict.fromkeys(lp, 0)
     presolves = 0
@@ -119,6 +129,7 @@ def run(name, workload) -> bool:
         milp["solves"] += result.lp_solves
         milp["pivots"] += result.lp_pivots
         milp["factorizations"] += result.factorizations
+        _digest_answer(answers_digest, result)
         return result
 
     simplex.LpSolver.solve, planner.solve_milp = lp_solve, milp_solve
@@ -130,7 +141,8 @@ def run(name, workload) -> bool:
         branch_bound.presolve = presolve
     print(f"{name} solves {lp['solves']} pivots {lp['pivots']} "
           f"factorizations {lp['factorizations']} sha256 {digest.hexdigest()} "
-          f"presolves {presolves} sha256 {presolve_digest.hexdigest()}")
+          f"presolves {presolves} sha256 {presolve_digest.hexdigest()} "
+          f"answers sha256 {answers_digest.hexdigest()}")
     if lp != milp:
         print(f"{name}: LpSolver.solve counted {lp}, MilpResult {milp}",
               file=sys.stderr)

@@ -14,5 +14,5 @@ if __name__ == "__main__":
     raise SystemExit(main([
         "sweep-beta", scenario, "-o", "out/beta",
         "--beta", "0,0.15,0.3,0.45",
-        "--nodes-limit", "25", "--deterministic",
+        "--nodes-limit", "25",
     ]))

@@ -39,12 +39,7 @@ from .graphs import (
     locations,
 )
 from .milp import LinExpr, LpProblem, Model, Sense, VarDef, evaluate, export_mps
-from .oracle import (
-    EnumerationLimits,
-    OracleResult,
-    enumerate_optimal,
-    evaluate_plan_cost,
-)
+from .oracle import OracleResult, enumerate_optimal, evaluate_plan_cost
 from .scenario import (
     GroundTruth,
     ParseError,

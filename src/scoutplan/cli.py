@@ -201,36 +201,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    flag_help = {"deterministic": "scrub wall times from outputs",
+                 "dot": "also write DOT renderings"}
+
+    def common(p, *flags):
         p.add_argument("scenario", help="scenario JSON file")
-        if output:
-            p.add_argument("-o", "--output", default="out",
-                           help="output directory (default: out)")
+        p.add_argument("-o", "--output", default="out",
+                       help="output directory (default: out)")
         p.add_argument("--gap", type=float, default=1e-6,
                        help="absolute optimality gap")
         p.add_argument("--time-limit", type=float, default=None)
         p.add_argument("--nodes-limit", type=int, default=None)
-        p.add_argument("--deterministic", action="store_true",
-                       help="scrub wall times from outputs")
-        p.add_argument("--dot", action="store_true",
-                       help="also write DOT renderings")
+        for flag in flags:
+            p.add_argument(f"--{flag}", action="store_true", help=flag_help[flag])
 
     p = sub.add_parser("validate", help="check a scenario and print derived sizes")
-    common(p, output=False)
+    p.add_argument("scenario", help="scenario JSON file")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("plan", help="single solve: plan files or MPS export")
-    common(p)
+    common(p, "dot")
     p.add_argument("--export-mps", action="store_true",
                    help="write the model in MPS format and skip solving")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="receding-horizon mission")
-    common(p)
+    common(p, "deterministic", "dot")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("ablate", help="run the four ablation variants")
-    common(p)
+    common(p, "deterministic", "dot")
     p.add_argument("--variant", default=None, choices=VARIANTS,
                    help="restrict to one variant (default: all four)")
     p.set_defaults(func=cmd_ablate)
@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.options = _solver_options(args)    # before any output is written
+        if "gap" in args:                       # every command but validate
+            args.options = _solver_options(args)    # before any output is written
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else INVALID

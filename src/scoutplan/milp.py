@@ -179,8 +179,10 @@ def model_arrays(model: Model) -> tuple[LpProblem, np.ndarray]:
             indices.append(var)
             data.append(coef)
         indptr.append(len(indices))
-    rows = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=np.int64),
-                          np.array(indptr, dtype=np.int64)), shape=(len(model.constraints), n))
+    # int32 indices where they fit, which scipy would otherwise scan to find
+    index = np.int32 if max(len(indices), n) < 2**31 else np.int64
+    rows = sp.csr_matrix((np.array(data, dtype=float), np.array(indices, dtype=index),
+                          np.array(indptr, dtype=index)), shape=(len(model.constraints), n))
     problem = LpProblem(
         objective, rows,
         np.array([_SENSE_ROW[con.sense] for con in model.constraints], dtype="<U1"),

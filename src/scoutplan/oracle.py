@@ -23,9 +23,7 @@ from .formulation import Excursion, StepCost, decay_coefficients
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
-    max_states: float = 1e8
+MAX_STATES = 1e8       # joint trajectories enumerate_optimal agrees to visit
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,7 @@ def estimate_states(scenario: Scenario) -> float:
     return joint * float(scout_choices) ** (scenario.horizon - 1)
 
 
-def enumerate_optimal(scenario: Scenario,
-                      limits: EnumerationLimits = EnumerationLimits()) -> OracleResult:
+def enumerate_optimal(scenario: Scenario) -> OracleResult:
     """Exhaustive minimum over per-robot trajectories and scout excursions.
 
     Carrier robots are interchangeable, so joint assignments enumerate
@@ -197,10 +194,10 @@ def enumerate_optimal(scenario: Scenario,
     aggregate flow model admits.
     """
     estimate = estimate_states(scenario)
-    if estimate > limits.max_states:
+    if estimate > MAX_STATES:
         raise ValueError(
             f"enumeration refused: about {estimate:.2e} joint trajectories "
-            f"exceed the guard threshold {limits.max_states:.2e}"
+            f"exceed the guard threshold {MAX_STATES:.2e}"
         )
 
     g = scenario.graph

@@ -374,7 +374,9 @@ def presolve(problem: LpProblem, int_ids) -> Presolved | None:
     gone = partner >= 0
     columns = (~fixed & ~gone).nonzero()[0]
     values = np.where(fixed, lower, 0.0)
-    place = np.full(n, -1)
+    # int32 indices where they fit, which scipy would otherwise scan to find
+    index = np.int32 if max(len(coef), n) < 2**31 else np.int64
+    place = np.full(n, -1, dtype=index)
     place[columns] = np.arange(len(columns))
     # postsolve: follow each aggregation chain to a kept or fixed column
     ids = gone.nonzero()[0]
@@ -387,7 +389,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved | None:
     values[ids] = shift + scale * values[to]
     # each aggregated column is one row of one entry
     onto = place[to] >= 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=index)
     indptr[ids[onto] + 1] = 1
     aggregated = sp.csr_matrix(
         (scale[onto], place[to[onto]], np.add.accumulate(indptr)),
@@ -396,7 +398,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved | None:
     kept = active[row_of] & (place[col_of] >= 0)
     rhs = (np.where(problem.senses == "L", row_hi, row_lo)
            - np.bincount(row_of, coef * values[col_of], m))[active]
-    indptr = np.zeros(np.count_nonzero(active) + 1, dtype=np.int64)
+    indptr = np.zeros(np.count_nonzero(active) + 1, dtype=index)
     np.add.accumulate(np.bincount(row_of[kept], minlength=m)[active],
                       out=indptr[1:])
     reduced = LpProblem(

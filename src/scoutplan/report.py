@@ -95,18 +95,19 @@ def routes_dot(scenario: Scenario, plan: Plan | None = None,
                     carrier_edges.add(g.uedge_of_location(loc))
     peak = max(visit_counts.values(), default=0)
 
+    # as DOT quoted strings, in which a backslash or a double quote would
+    # otherwise escape or end the string
+    names = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+             for label in g.node_labels]
     lines = ["graph team {", "  layout=neato;", "  node [shape=circle];"]
-    for label in g.node_labels:
-        lines.append(f'  "{label}";')
+    lines += [f"  {name};" for name in names]
     for ue, (a, b, data) in enumerate(g.uedges):
         visits = visit_counts.get(ue, 0)
         shade = 90 - int(round(70 * visits / peak)) if peak else 90
         attrs = [f'label="{data.weight:g}"', f"color=gray{shade}"]
         if ue in carrier_edges:
             attrs.append("penwidth=3")
-        lines.append(
-            f'  "{g.node_labels[a]}" -- "{g.node_labels[b]}" [{", ".join(attrs)}];'
-        )
+        lines.append(f'  {names[a]} -- {names[b]} [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

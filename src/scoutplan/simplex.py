@@ -9,11 +9,13 @@ rows_i x + s_i = rhs_i with rhs_i - hi_i <= s_i <= rhs_i - lo_i.
 Every solve runs one pivot loop, the bounded dual simplex: a cold one from
 the slack basis with each structural column at the bound its cost favours,
 a warm one from the given basis (a parent node's optimal basis after a
-branching bound change).  The leaving row is the primal infeasibility with
-the largest square over its dual devex weight, and the ratio test is a
-Harris two-pass test with bound flipping, so boxed columns whose reduced
-cost changes sign jump to their other bound instead of entering (Maros
-(2003), EJOR 144; Koberstein (2005), PhD thesis, Paderborn).  Whenever the
+branching bound change).  A problem without rows runs the same loop, in
+which no row is ever infeasible, so the first pricing and its bound flips
+settle it.  The leaving row is the primal infeasibility with the largest
+square over its dual devex weight, and the ratio test is a Harris two-pass
+test with bound flipping, so boxed columns whose reduced cost changes sign
+jump to their other bound instead of entering (Maros (2003), EJOR 144;
+Koberstein (2005), PhD thesis, Paderborn).  Whenever the
 reduced costs are priced afresh, a boxed column of the wrong sign flips to
 its other bound.  Should any other column have the wrong sign (unboxed on
 the side its cost favours, or free), the basis goes to phase 1: the same
@@ -25,7 +27,7 @@ subproblem method of Koberstein and Suhl (2007), Comput. Optim. Appl. 37,
 after Fourer (1994)).  Such a ray makes the LP unbounded when it is
 feasible, which the dual loop settles with zero costs.  Every dual
 iterate's objective bounds the LP optimum from below, so a solve given a
-cutoff stops as soon as it reaches it.
+cutoff, on any problem, stops as soon as it reaches it.
 
 After a run of degenerate steps the dual falls back to Bland's rule to
 guarantee termination.  A deadline is checked at every pivot.  The basis
@@ -264,7 +266,8 @@ class LpSolver:
         """Solve under optionally overridden structural bounds, from
         warm_start's basis or, without one, from the slack basis.
 
-        The dual simplex returns status cutoff once its objective reaches
+        Every solve, one of a problem without rows included, runs the dual
+        simplex, which returns status cutoff once its objective reaches
         cutoff.  Hitting max_iterations returns stalled (never a silently
         wrong answer).  deadline is a time.monotonic() value; past it the
         solve returns interrupted.  Bounds with a lower above an upper give
@@ -276,21 +279,9 @@ class LpSolver:
             return LpResult("infeasible", None, None, 0, None)
         if max_iterations is None:
             max_iterations = 50 * (self.m + self.n) + 10_000
-        if self.m == 0:
-            return _solve_unconstrained(self.cost[: self.n], lo, hi, self.constant)
         return _Run(self, np.concatenate([lo, self.slack_lower]),
                     np.concatenate([hi, self.slack_upper]), warm_start,
                     max_iterations, deadline).solve(cutoff)
-
-
-def _solve_unconstrained(cost, lower, upper, constant) -> LpResult:
-    best = np.where(cost > 0, lower, np.where(cost < 0, upper, 0.0))
-    if np.any(np.isinf(best)):
-        return LpResult("unbounded", None, None, 0, None)
-    x = np.clip(best, lower, upper)
-    obj = float(cost @ x) + constant
-    return LpResult("optimal", x, obj, 0,
-                    Basis(np.empty(0, dtype=int), _initial_status(lower, upper)))
 
 
 def _dual_ratio_test(slope_dir, reduced, span, slope, bland):
@@ -565,11 +556,13 @@ class _Run:
             if bland:
                 rows = (excess > EPS_FEAS).nonzero()[0]
                 r = int(rows[basis[rows].argmin()]) if rows.size else -1
-            else:
+            elif self.m:
                 r = int(np.where(excess > EPS_FEAS, excess * excess / weights,
                                  -1.0).argmax())
                 if not excess[r] > EPS_FEAS:
                     r = -1
+            else:
+                r = -1
             if r < 0:                           # no row is infeasible
                 if trusted:
                     return self._result("optimal", x=self.x if fresh else None)

@@ -140,6 +140,19 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("validate", ["--gap", "0.5"]), ("validate", ["--time-limit", "5"]),
+        ("validate", ["--nodes-limit", "5"]), ("validate", ["--deterministic"]),
+        ("validate", ["--dot"]), ("plan", ["--deterministic"]),
+        ("sweep-beta", ["--dot"]), ("sweep-beta", ["--deterministic"])])
+    def test_flag_the_command_does_not_read_exits_two(self, small_path, tmp_path,
+                                                      command, flag):
+        output = [] if command == "validate" else ["-o", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(small_path), *output, *flag])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_output_path_that_is_a_file_exits_two(self, small_path, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("kept")
@@ -245,3 +258,14 @@ class TestDot:
         assert "--" in dot
         if any(counts.values()):
             assert "color=gray20" in dot or "color=gray" in dot
+
+    def test_labels_with_quotes_and_backslashes_are_escaped(self):
+        g = Graph(['a"x', "b\\"], [(0, 1, EdgeData(5.0, 1.0, 1.0, 1.0))])
+        sc = Scenario(graph=g, carrier_count=1, scout_count=0, horizon=3,
+                      scout_steps=2, scout_cost_scale=0.25, explore_weight=0.4,
+                      decay_horizon=3, optimism=0.0, launch_scale=0.2,
+                      starts=((0, 1),), goals=((1, 1),))
+        scenario, _ = load_scenario(json.dumps(scenario_to_document(sc)))
+        lines = report.routes_dot(scenario).splitlines()
+        assert lines[3:5] == ['  "a\\"x";', '  "b\\\\";']
+        assert lines[5].startswith('  "a\\"x" -- "b\\\\" [')

@@ -23,4 +23,5 @@ def test_prints_one_line_per_workload_and_counts_agree():
     for line in lines:
         assert re.fullmatch(r"\S+ solves [1-9]\d* pivots \d+ factorizations \d+ "
                             r"sha256 [0-9a-f]{64} presolves [1-9]\d* "
-                            r"sha256 [0-9a-f]{64}", line), line
+                            r"sha256 [0-9a-f]{64} answers sha256 [0-9a-f]{64}",
+                            line), line

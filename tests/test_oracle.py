@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from scoutplan import (
-    EnumerationLimits,
     Excursion,
     SolveOptions,
     build_model,
@@ -14,7 +13,7 @@ from scoutplan import (
     solve_milp,
     structured_candidate,
 )
-from scoutplan import milp
+from scoutplan import milp, oracle
 from scoutplan.executor import variant_scenario
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 from scoutplan.graphs import EdgeData, Graph
@@ -106,10 +105,11 @@ class TestEnumerate:
         sc = two_node_scenario(graph=g, goals=((2, 1),))
         assert enumerate_optimal(sc).status == "infeasible"
 
-    def test_guard_refuses_large_spaces(self):
+    def test_guard_refuses_large_spaces(self, monkeypatch):
         sc = random_tiny_scenario(0, max_nodes=4, horizon=3)
+        monkeypatch.setattr(oracle, "MAX_STATES", 1)
         with pytest.raises(ValueError, match="guard"):
-            enumerate_optimal(sc, EnumerationLimits(max_states=1))
+            enumerate_optimal(sc)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_agreement_with_milp(self, seed):

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 from scoutplan import simplex
 from scoutplan.milp import LpProblem
-from scoutplan.simplex import BASIC, NB_LOWER, Basis, LpSolver, _Factors
+from scoutplan.simplex import (
+    BASIC, NB_FREE, NB_LOWER, NB_UPPER, Basis, LpSolver, _Factors)
 
 
 def boxed_lp(objective, rows, senses, rhs, lower, upper, constant=0.0):
@@ -505,6 +506,59 @@ class TestColdStart:
         res = LpSolver(prob).solve(max_iterations=0)
         assert res.status == "optimal" and res.iterations == 0
         assert list(res.x) == [4.0, -1.0, 2.0]
+
+
+def lp_of_shape(seed):
+    """By seed % 4: random_general_lp(seed); its columns without its rows;
+    those columns boxed, some of them without cost; or an LP without rows
+    or columns.  The row-free ones carry a constant."""
+    prob = random_general_lp(seed)
+    rng = np.random.default_rng(seed)
+    constant = float(np.round(rng.uniform(-5, 5), 2))
+    cost, lower, upper = prob.objective, prob.lower, prob.upper
+    shape = seed % 4
+    if shape == 0:
+        return prob
+    if shape == 2:
+        cost = np.where(rng.random(len(cost)) < 0.3, 0.0, cost)
+        lower = np.where(np.isfinite(lower), lower, -2.0)
+        upper = np.where(np.isfinite(upper), upper, lower + 3.0)
+    if shape == 3:
+        cost = lower = upper = np.zeros(0)
+    return boxed_lp(cost, np.zeros((0, len(cost))), [], [], lower, upper, constant)
+
+
+class TestVerdictContract:
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("seed", range(48))
+    def test_every_result_is_the_point_its_basis_names(self, seed, warm):
+        prob = lp_of_shape(seed)
+        n = len(prob.objective)
+        status, objective = (highs(prob, prob.lower, prob.upper) if n
+                             else ("optimal", prob.constant))
+        solver = LpSolver(prob)
+        # warm: the basis the same LP ends on under other costs
+        start = LpSolver(with_costs(prob, seed)).solve().basis if warm else None
+        reference = objective if status == "optimal" else 0.0
+        for cutoff in (None, reference - 1.0, reference + 1.0):
+            res = solver.solve(warm_start=start, cutoff=cutoff)
+            if res.x is not None:
+                assert np.all(res.x >= prob.lower - 1e-6)
+                assert np.all(res.x <= prob.upper + 1e-6)
+                at = res.basis.status[:n]
+                named = np.where(at == NB_UPPER, prob.upper, prob.lower)
+                named[at == NB_FREE] = 0.0
+                assert np.array_equal(res.x[at != BASIC], named[at != BASIC])
+            if res.status == "cutoff":
+                assert res.objective >= cutoff
+                assert status == "infeasible" or objective >= cutoff - 1e-9
+                continue
+            assert res.status == status
+            if status == "optimal":
+                assert res.objective == pytest.approx(
+                    prob.objective @ res.x + prob.constant, abs=1e-9)
+                assert res.objective == pytest.approx(objective, abs=1e-6)
+                assert cutoff is None or res.objective < cutoff
 
 
 @pytest.fixture
