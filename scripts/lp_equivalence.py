@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Fingerprint every LP solve of the four benchmark workloads.
 
-Runs the solves of plan-ablation8 (node limit 25), mission-ablation8 (node
-limit 5 per replan), certify-random (three (5,7,5,3) scenarios) and
-oracle-tiny (200 tiny scenarios) at the benchmark's settings, with
-`LpSolver.solve` and `presolve` wrapped, and prints one line per workload:
+Drives the benchmark's own workload classes (perfbench/workloads.py) as the
+benchmark does, with seed 0 and at full size: for each workload W,
+W(0, smoke=False), then setup(), then run(key) for every key of items(),
+in the order items() gives.  It wraps `LpSolver.solve` and `presolve` and
+prints one line per workload:
 LP solves, pivots, factorizations, and a sha256 over the status,
 iterations, factorizations, objective, x and basis of every LP result in
 call order; then the number of presolves and a sha256 over every presolved
@@ -14,54 +15,39 @@ every `solve_milp` answer: status, objective, best bound, gap, nodes and x.
 Two trees that print the same lines made the same presolves and the same LP
 solves; two whose answers hashes agree gave the same answers, even where
 their LP solves differ.  The script exits 1 when its counts differ from the
-`MilpResult` counters of the same solves.  OpenBLAS is pinned to one thread,
-as the benchmark pins it, because another thread count may sum in another
-order.
+`MilpResult` counters of the same solves.  checkout.prepare() imports
+scoutplan from this checkout's src/ and pins OpenBLAS to one thread, as the
+benchmark does, because another thread count may sum in another order.
+The reference checks (HiGHS, the oracle) are not run.
 
-    PYTHONPATH=src python3 scripts/lp_equivalence.py
+    python3 scripts/lp_equivalence.py
 """
-
-import os
-
-os.environ["OPENBLAS_NUM_THREADS"] = "1"    # before numpy loads
 
 import hashlib
 import struct
 import sys
 from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from scoutplan import SolveOptions, branch_bound, executor, planner, simplex
-from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
-from scoutplan.scenario import load_scenario_file
+import checkout  # noqa: E402
 
-ABLATION8 = Path(__file__).resolve().parent.parent / "scenarios" / "ablation8.json"
+checkout.prepare()      # before numpy loads
 
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
 
-def plan_ablation8():
-    scenario, _ = load_scenario_file(ABLATION8)
-    planner.solve_scenario(scenario, SolveOptions(node_limit=25))
+from scoutplan import branch_bound, planner, simplex  # noqa: E402
 
-
-def mission_ablation8():
-    scenario, truth = load_scenario_file(ABLATION8)
-    executor.run_mission(scenario, truth, SolveOptions(node_limit=5))
+SEED = 0
 
 
-def certify_random():
-    for k in (0, 1, 2):
-        planner.solve_scenario(random_scaling_scenario(k, 5, 7, 5, 3),
-                               SolveOptions(node_limit=20_000))
-
-
-def oracle_tiny():
-    for k in range(200):
-        planner.solve_scenario(random_tiny_scenario(k), SolveOptions())
-
-
-WORKLOADS = {"plan-ablation8": plan_ablation8, "mission-ablation8": mission_ablation8,
-             "certify-random": certify_random, "oracle-tiny": oracle_tiny}
+def drive(workload_class) -> None:
+    """One full-size pass of a benchmark workload, without its checks."""
+    workload = workload_class(SEED, smoke=False)
+    workload.setup()
+    for key in workload.items():
+        workload.run(key)
 
 
 def _digest_arrays(digest, arrays) -> None:
@@ -135,7 +121,7 @@ def run(name, workload) -> bool:
     simplex.LpSolver.solve, planner.solve_milp = lp_solve, milp_solve
     branch_bound.presolve = digested_presolve
     try:
-        workload()
+        drive(workload)
     finally:
         simplex.LpSolver.solve, planner.solve_milp = solve, solve_milp
         branch_bound.presolve = presolve
@@ -150,5 +136,5 @@ def run(name, workload) -> bool:
 
 
 if __name__ == "__main__":
-    ok = [run(name, workload) for name, workload in WORKLOADS.items()]
+    ok = [run(name, workload) for name, workload in workloads.WORKLOADS.items()]
     sys.exit(0 if all(ok) else 1)

@@ -5,7 +5,6 @@ independent brute-force oracle, and a receding-horizon mission simulator."""
 from .branch_bound import MilpResult, SolveOptions, model_to_lp, solve_milp
 from .executor import (
     BeliefState,
-    EdgeBelief,
     MissionLog,
     MissionStep,
     run_ablation,

@@ -19,7 +19,7 @@ from .formulation import (
     compact_variable_count,
     paper_parity_variable_count,
 )
-from .graphs import ValidationError, launch_cost_at
+from .graphs import ValidationError
 from .milp import export_mps
 from .planner import solve_scenario
 from .scenario import ParseError, load_scenario_file
@@ -68,8 +68,7 @@ def cmd_validate(args) -> int:
         print(f"edge {g.edge_label(ue)}: weight {data.weight:g} "
               f"effective uncertainty {scenario.edge_uncertainty(ue):g}")
     for v in range(g.n_nodes):
-        print(f"node {g.node_labels[v]}: launch cost "
-              f"{launch_cost_at(g, v, scenario.launch_scale):g}")
+        print(f"node {g.node_labels[v]}: launch cost {scenario.launch_cost(v):g}")
     print(f"variables (compact): {compact_variable_count(scenario)}")
     print(f"variables (paper parity): {paper_parity_variable_count(scenario)}")
     print("ground truth: " + ("present" if truth else "absent"))
@@ -244,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # exits 2 on bad input, 0 on --help
         if "gap" in args:                       # every command but validate
             args.options = _solver_options(args)    # before any output is written
         return args.func(args)

@@ -1,12 +1,13 @@
 """Receding-horizon mission runner.
 
 Each mission step solves the planning model on the remaining (shrinking)
-horizon under current beliefs, executes the first carrier move together with
-its scout excursions, collects exact observations on every edge the scouts
-crossed, updates beliefs and repeats.  Observed uncertainty drops to zero and
-regrows linearly over the decay horizon, modeling an environment that keeps
-changing after a look, unless the scenario's inspection_decay is off (the
-scouts-nodecay arm).
+horizon under the current belief, executes the first carrier move together
+with its scout excursions, collects exact observations on every edge the
+scouts crossed, updates the belief and repeats.  The belief is the believed
+EdgeData of every edge, so a re-plan's graph is built from it directly.
+Observed uncertainty drops to zero and regrows linearly over the scenario's
+decay horizon, modeling an environment that keeps changing after a look,
+unless the scenario's inspection_decay is off (the scouts-nodecay arm).
 """
 
 from __future__ import annotations
@@ -24,64 +25,48 @@ VARIANTS = ("weights", "uncertainty", "scouts-nodecay", "full")
 
 
 @dataclass(frozen=True)
-class EdgeBelief:
-    weight: float
-    unc_lower: float
-    unc_upper: float
-    age: int | None = None          # steps since last observation, None = never
-
-
-@dataclass(frozen=True)
 class BeliefState:
-    """Current per-edge belief plus the original scenario bounds."""
+    """The believed cost model of every undirected edge, and its age.
 
-    edges: tuple[EdgeBelief, ...]
+    edges[i] is edge i's believed weight and uncertainty bounds, with the
+    scenario's team_discount; ages[i] counts the steps since edge i was last
+    observed, None while it never was.
+    """
+
+    edges: tuple[EdgeData, ...]
+    ages: tuple[int | None, ...]
 
     @staticmethod
     def initial(graph: Graph) -> "BeliefState":
-        return BeliefState(tuple(
-            EdgeBelief(d.weight, d.unc_lower, d.unc_upper) for _, _, d in graph.uedges
-        ))
+        edges = tuple(d for _, _, d in graph.uedges)
+        return BeliefState(edges, (None,) * len(edges))
 
 
 def update_belief(belief: BeliefState, observations: dict[int, float],
-                  graph: Graph, decay_horizon: int, regrow: bool = True) -> BeliefState:
+                  scenario: Scenario) -> BeliefState:
     """Fold one step of observations into the belief.
 
     Observed edges snap to the observed cost with zero uncertainty; every
-    other previously-observed edge ages one step and its uncertainty regrows
-    as original * min(1, age / decay_horizon).  With regrow off an
-    observation is trusted forever.
+    other previously-observed edge ages one step.  Under the scenario's
+    inspection_decay its uncertainty regrows as original * min(1, age /
+    decay_horizon), with the scenario's graph holding the originals;
+    without it an observation is trusted forever.
     """
-    out = []
-    for idx, eb in enumerate(belief.edges):
-        original = graph.edge_data(idx)
+    edges, ages = [], []
+    for idx, (edge, age) in enumerate(zip(belief.edges, belief.ages)):
+        original = scenario.graph.edge_data(idx)
         if idx in observations:
-            out.append(EdgeBelief(observations[idx], 0.0, 0.0, 0))
-            continue
-        if eb.age is None:
-            out.append(eb)
-            continue
-        age = eb.age + 1
-        if regrow:
-            factor = min(1.0, age / decay_horizon)
-            lower = min(original.unc_lower * factor, eb.weight)
-            out.append(EdgeBelief(eb.weight, lower, original.unc_upper * factor, age))
-        else:
-            out.append(EdgeBelief(eb.weight, eb.unc_lower, eb.unc_upper, age))
-    return BeliefState(tuple(out))
-
-
-def believed_scenario(scenario: Scenario, belief: BeliefState,
-                      starts: tuple[tuple[int, int], ...], horizon: int) -> Scenario:
-    g = scenario.graph
-    edges = []
-    for idx, (a, b, data) in enumerate(g.uedges):
-        eb = belief.edges[idx]
-        edges.append((a, b, EdgeData(eb.weight, eb.unc_lower, eb.unc_upper,
-                                     data.team_discount)))
-    graph = Graph(list(g.node_labels), edges)
-    return replace(scenario, graph=graph, starts=starts, horizon=horizon)
+            edge = EdgeData(observations[idx], 0.0, 0.0, original.team_discount)
+            age = 0
+        elif age is not None:
+            age += 1
+            if scenario.inspection_decay:
+                factor = min(1.0, age / scenario.decay_horizon)
+                lower = min(original.unc_lower * factor, edge.weight)
+                edge = replace(edge, unc_lower=lower, unc_upper=original.unc_upper * factor)
+        edges.append(edge)
+        ages.append(age)
+    return BeliefState(tuple(edges), tuple(ages))
 
 
 @dataclass(frozen=True)
@@ -104,8 +89,17 @@ class MissionStep:
 class MissionLog:
     status: str                     # completed | exhausted | infeasible | solver-limit
     steps: tuple[MissionStep, ...]
-    route_true_cost: float
-    objective_true_cost: float
+
+    @property
+    def route_true_cost(self) -> float:
+        return sum(s.route_true_increment for s in self.steps)
+
+    @property
+    def objective_true_cost(self) -> float:
+        return self.route_true_cost + sum(
+            s.scout_true_increment + s.teaming_increment + s.launch_increment
+            for s in self.steps
+        )
 
 
 def _goals_met(scenario: Scenario, positions) -> bool:
@@ -140,11 +134,11 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
         start_counts: dict[int, int] = {}
         for loc in positions:
             start_counts[loc] = start_counts.get(loc, 0) + 1
-        current = believed_scenario(
-            scenario, belief,
-            tuple(sorted(start_counts.items())),
-            scenario.horizon - now + 1,
-        )
+        graph = Graph(list(g.node_labels),
+                      [(a, b, data) for (a, b, _), data in zip(g.uedges, belief.edges)])
+        current = replace(scenario, graph=graph,
+                          starts=tuple(sorted(start_counts.items())),
+                          horizon=scenario.horizon - now + 1)
         t0 = time.monotonic()
         outcome = solve_scenario(current, solver, seed_plan=tail)
         seconds = time.monotonic() - t0
@@ -183,8 +177,7 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
                 route_true += truth.cost(ue, now + 1)
         launch = sum(scenario.launch_cost(exc.node) for exc in flown)
 
-        belief = update_belief(belief, observed, g, scenario.decay_horizon,
-                               regrow=scenario.inspection_decay)
+        belief = update_belief(belief, observed, scenario)
         tail = (
             tuple(route[1:] for route in plan.carrier_routes),
             tuple(Excursion(e.node, e.step - 1, e.walk)
@@ -209,12 +202,7 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
     if status == "exhausted" and _goals_met(scenario, positions):
         status = "completed"
 
-    route_total = sum(s.route_true_increment for s in steps)
-    objective_total = route_total + sum(
-        s.scout_true_increment + s.teaming_increment + s.launch_increment
-        for s in steps
-    )
-    return MissionLog(status, tuple(steps), route_total, objective_total)
+    return MissionLog(status, tuple(steps))
 
 
 def variant_scenario(scenario: Scenario, variant: str) -> Scenario:

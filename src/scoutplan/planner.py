@@ -38,12 +38,14 @@ from .scenario import Scenario
 class PlanningOutcome:
     result: MilpResult
     model: milp.Model
-    plan_vars: PlanVars
     plan: Plan | None
 
 
-def _simple_node_paths(graph, origin, target, cap=60):
-    """Simple node paths origin -> target, shortest first."""
+PATH_CAP = 60       # the shortest simple paths that structured_candidate schedules
+
+
+def _simple_node_paths(graph, origin, target):
+    """The PATH_CAP shortest simple node paths origin -> target."""
     paths = []
     stack = [(origin, (origin,))]
     while stack:
@@ -51,15 +53,13 @@ def _simple_node_paths(graph, origin, target, cap=60):
         if node == target:
             paths.append(path)
             continue
-        if len(path) > graph.n_nodes:
-            continue
         for succ_loc in graph.successors[node]:
             if graph.is_node(succ_loc):
                 continue
             nxt = graph.dir_edge_at(succ_loc).head
             if nxt not in path:
                 stack.append((nxt, path + (nxt,)))
-    return sorted(paths, key=len)[:cap]
+    return sorted(paths, key=len)[:PATH_CAP]
 
 
 def _ahead_walk(graph, ahead_nodes, scout_steps):
@@ -121,11 +121,11 @@ def structured_candidate(plan_vars: PlanVars) -> list:
                 ahead = []
                 for t in range(1, n_t):
                     here = route[t - 1]
-                    if not g.is_node(here) or here not in path:
+                    if not g.is_node(here):
                         continue
                     walk = _ahead_walk(g, path[path.index(here):],
                                        scenario.scout_steps)
-                    if walk and any(not g.is_node(loc) for loc in walk):
+                    if walk:
                         ahead.append(Excursion(here, t, walk))
                 if ahead:
                     variants.append(tuple(ahead))
@@ -168,4 +168,4 @@ def solve_scenario(scenario: Scenario, options: SolveOptions | None = None,
     plan = None
     if result.x is not None:
         plan = extract_plan(result.x, plan_vars)
-    return PlanningOutcome(result, model, plan_vars, plan)
+    return PlanningOutcome(result, model, plan)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from .executor import BeliefState, EdgeBelief, MissionLog, MissionStep
+from .executor import BeliefState, MissionLog, MissionStep
 from .formulation import Excursion, Plan, StepCost
-from .graphs import Graph
+from .graphs import EdgeData, Graph
 from .scenario import Scenario
 
 
@@ -133,12 +133,13 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
                 "belief_after": [
                     {
                         "edge": g.edge_label(ue),
-                        "weight": eb.weight,
-                        "unc_lower": eb.unc_lower,
-                        "unc_upper": eb.unc_upper,
-                        "age": eb.age,
+                        "weight": data.weight,
+                        "unc_lower": data.unc_lower,
+                        "unc_upper": data.unc_upper,
+                        "age": age,
                     }
-                    for ue, eb in enumerate(s.belief_after.edges)
+                    for ue, (data, age) in enumerate(
+                        zip(s.belief_after.edges, s.belief_after.ages))
                 ],
                 "route_true_increment": s.route_true_increment,
                 "scout_true_increment": s.scout_true_increment,
@@ -164,17 +165,18 @@ def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
             observations=tuple(
                 (g.edge_index(label), cost) for label, cost in s["observations"]
             ),
-            belief_after=BeliefState(tuple(
-                EdgeBelief(e["weight"], e["unc_lower"], e["unc_upper"], e["age"])
-                for e in s["belief_after"]
-            )),
+            belief_after=BeliefState(
+                tuple(EdgeData(e["weight"], e["unc_lower"], e["unc_upper"],
+                               g.edge_data(ue).team_discount)
+                      for ue, e in enumerate(s["belief_after"])),
+                tuple(e["age"] for e in s["belief_after"]),
+            ),
             route_true_increment=s["route_true_increment"],
             scout_true_increment=s["scout_true_increment"],
             teaming_increment=s["teaming_increment"],
             launch_increment=s["launch_increment"],
         ))
-    return MissionLog(doc["status"], tuple(steps),
-                      doc["route_true_cost"], doc["objective_true_cost"])
+    return MissionLog(doc["status"], tuple(steps))
 
 
 def mission_to_json(log: MissionLog, scenario: Scenario,

@@ -355,6 +355,9 @@ class _Run:
             if warm_start.binv is not None:
                 self.basis, self.status = basic, status
                 self.factors = warm_start.binv.copy()
+            elif self.m == 0:           # the empty basis: nothing to factor
+                self.basis, self.status = basic, status
+                self.factors = _Factors(self.cols, None)
             else:
                 self.factorizations += 1
                 try:

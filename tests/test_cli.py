@@ -148,10 +148,18 @@ class TestPlan:
     def test_flag_the_command_does_not_read_exits_two(self, small_path, tmp_path,
                                                       command, flag):
         output = [] if command == "validate" else ["-o", str(tmp_path / "o")]
-        with pytest.raises(SystemExit) as exit_:
-            main([command, str(small_path), *output, *flag])
-        assert exit_.value.code == 2
+        assert main([command, str(small_path), *output, *flag]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [[], ["solve"], ["--bogus"]])
+    def test_missing_or_unknown_command_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
     def test_output_path_that_is_a_file_exits_two(self, small_path, tmp_path, capsys):
         taken = tmp_path / "taken"

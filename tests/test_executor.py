@@ -11,8 +11,10 @@ from scoutplan import (
     update_belief,
     variant_scenario,
 )
+from scoutplan import executor
 from scoutplan.executor import VARIANTS
 from scoutplan.graphs import EdgeData, Graph
+from scoutplan.planner import solve_scenario
 from scoutplan.scenario import Scenario
 
 
@@ -32,55 +34,57 @@ def line_scenario(**overrides):
 
 
 class TestUpdateBelief:
-    def graph(self):
-        return Graph(["a", "b"], [(0, 1, EdgeData(10.0, 2.0, 5.0))])
+    def scenario(self, edge=EdgeData(10.0, 2.0, 5.0), decay_horizon=5):
+        g = Graph(["a", "b"], [(0, 1, edge)])
+        return line_scenario(graph=g, decay_horizon=decay_horizon, goals=((1, 1),))
 
     def test_observation_zeroes_uncertainty(self):
-        g = self.graph()
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {0: 12.0}, g, decay_horizon=5)
-        assert belief.edges[0].weight == 12.0
-        assert belief.edges[0].unc_lower == belief.edges[0].unc_upper == 0.0
-        assert belief.edges[0].age == 0
+        sc = self.scenario(EdgeData(10.0, 2.0, 5.0, 1.5))
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {0: 12.0}, sc)
+        assert belief.edges[0] == EdgeData(12.0, 0.0, 0.0, 1.5)
+        assert belief.ages[0] == 0
 
     def test_linear_regrowth(self):
-        g = self.graph()
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {0: 12.0}, g, decay_horizon=5)
-        belief = update_belief(belief, {}, g, decay_horizon=5)
-        belief = update_belief(belief, {}, g, decay_horizon=5)
+        sc = self.scenario()
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {0: 12.0}, sc)
+        belief = update_belief(belief, {}, sc)
+        belief = update_belief(belief, {}, sc)
         # age 2 of 5: uncertainty regrows to 2/5 of the original
         assert belief.edges[0].unc_upper == pytest.approx(5.0 * 2 / 5)
-        assert belief.edges[0].age == 2
+        assert belief.ages[0] == 2
 
     def test_full_regrowth_at_decay_horizon(self):
-        g = self.graph()
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {0: 12.0}, g, decay_horizon=5)
+        sc = self.scenario()
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {0: 12.0}, sc)
         for _ in range(5):
-            belief = update_belief(belief, {}, g, decay_horizon=5)
+            belief = update_belief(belief, {}, sc)
         assert belief.edges[0].unc_upper == pytest.approx(5.0)
 
     def test_never_observed_edges_unchanged(self):
-        g = self.graph()
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {}, g, decay_horizon=5)
-        assert belief.edges[0] == BeliefState.initial(g).edges[0]
+        sc = self.scenario()
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {}, sc)
+        assert belief == BeliefState.initial(sc.graph)
+        assert belief.ages[0] is None
 
     def test_no_regrowth_mode(self):
-        g = self.graph()
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {0: 12.0}, g, decay_horizon=5)
+        sc = replace(self.scenario(), inspection_decay=False)
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {0: 12.0}, sc)
         for _ in range(6):
-            belief = update_belief(belief, {}, g, decay_horizon=5, regrow=False)
+            belief = update_belief(belief, {}, sc)
         assert belief.edges[0].unc_upper == 0.0
+        assert belief.ages[0] == 6
 
     def test_regrown_lower_bound_never_exceeds_weight(self):
-        g = Graph(["a", "b"], [(0, 1, EdgeData(10.0, 8.0, 5.0))])
-        belief = BeliefState.initial(g)
-        belief = update_belief(belief, {0: 2.0}, g, decay_horizon=2)
+        sc = self.scenario(EdgeData(10.0, 8.0, 5.0), decay_horizon=2)
+        belief = BeliefState.initial(sc.graph)
+        belief = update_belief(belief, {0: 2.0}, sc)
         for _ in range(3):
-            belief = update_belief(belief, {}, g, decay_horizon=2)
+            belief = update_belief(belief, {}, sc)
         assert belief.edges[0].unc_lower <= belief.edges[0].weight
 
 
@@ -136,6 +140,25 @@ class TestRunMission:
         assert a.route_true_cost == b.route_true_cost
         assert [s.positions_after for s in a.steps] == [s.positions_after for s in b.steps]
         assert [s.excursions for s in a.steps] == [s.excursions for s in b.steps]
+
+    def test_each_replan_solves_on_the_belief_after_the_step_before(self, monkeypatch):
+        sc = line_scenario(scout_count=1, scout_steps=4, explore_weight=1.0)
+        truth = GroundTruth(((14.0,) * sc.horizon, (9.0,) * sc.horizon))
+        replans = []
+
+        def recorded(current, *args, **kwargs):
+            replans.append(current)
+            return solve_scenario(current, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "solve_scenario", recorded)
+        log = run_mission(sc, truth)
+        assert len(log.steps) >= 2 and len(replans) == len(log.steps)
+        assert tuple(d for _, _, d in replans[0].graph.uedges) == tuple(
+            d for _, _, d in sc.graph.uedges)
+        for k, step in enumerate(log.steps[:-1]):
+            believed = tuple(d for _, _, d in replans[k + 1].graph.uedges)
+            assert believed == step.belief_after.edges
+            assert replans[k + 1].horizon == sc.horizon - k - 1
 
     def test_observations_only_from_scouts(self):
         sc = line_scenario(scout_count=0)

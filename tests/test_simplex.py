@@ -169,6 +169,18 @@ class TestWarmStart:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         assert np.array_equal(warm.basis.basic, cold.basis.basic)
 
+    @pytest.mark.parametrize("n", [3, 0])
+    def test_warm_start_without_rows_factors_nothing(self, n):
+        prob = boxed_lp([-1.0, 2.0, 0.0][:n], np.zeros((0, n)), [], [],
+                        [0.0, 1.0, -1.0][:n], [4.0, 3.0, 1.0][:n])
+        cold = LpSolver(prob).solve()
+        warm = LpSolver(prob).solve(warm_start=Basis(np.empty(0, int), cold.basis.status))
+        for res in (cold, warm):
+            assert res.status == "optimal" and res.factorizations == 0
+            assert res.start_factors is None
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.objective == cold.objective
+
     def test_carried_factors_give_the_fresh_answer_and_stay_unchanged(self):
         rng = np.random.default_rng(3)
         m, n = 30, 60
