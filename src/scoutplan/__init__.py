@@ -35,7 +35,6 @@ from .graphs import (
     effective_uncertainty,
     hurwicz_value,
     launch_cost_at,
-    locations,
 )
 from .milp import LinExpr, LpProblem, Model, Sense, VarDef, evaluate, export_mps
 from .oracle import OracleResult, enumerate_optimal, evaluate_plan_cost

@@ -109,7 +109,7 @@ class DerivedRules:
 
 @dataclass(frozen=True)
 class PlanVars:
-    """Bidirectional index between (entity, location, time) tuples and variable ids.
+    """Index from (entity, location, time) tuples to variable ids.
 
     Time steps are 1-based.  Families and their time ranges:
       moved[t]                 t in [1, n_T]
@@ -139,7 +139,6 @@ class PlanVars:
     deployed: dict
     scout_unc: dict
     inspected: dict
-    reverse: dict
     cost_terms: list
     rules: DerivedRules = field(repr=False, compare=False)
 
@@ -195,13 +194,11 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
         dirs_of[g.uedge_of_location(loc)].append(loc)
 
     model = Model(name="teamplan")
-    pv = PlanVars(scenario, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [],
-                  DerivedRules())
+    pv = PlanVars(scenario, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, [], DerivedRules())
 
     def new_var(family: str, key, kind, lower, upper, name) -> int:
         vid = model.add_var(kind, lower, upper, name)
         getattr(pv, family)[key] = vid
-        pv.reverse[vid] = (family, key)
         return vid
 
     for t in range(1, n_t + 1):
@@ -454,7 +451,10 @@ class Plan:
     scout_excursions: tuple[Excursion, ...]
     inspections: frozenset
     breakdown: tuple[StepCost, ...]
-    total_cost: float
+
+    @property
+    def total_cost(self) -> float:
+        return sum(step.total for step in self.breakdown)
 
 
 def expand_starts(scenario: Scenario) -> list[int]:
@@ -531,10 +531,8 @@ def extract_plan(solution, plan_vars: PlanVars) -> Plan:
     sums = {t: dict.fromkeys(COST_CATEGORIES, 0.0) for t in range(1, n_t + 1)}
     for category, t, vid, coef in pv.cost_terms:
         sums[t][category] += coef if vid is None else coef * float(solution[vid])
-    breakdown = [StepCost(t, **sums[t]) for t in range(1, n_t + 1)]
-    total = sum(step.total for step in breakdown)
-    return Plan(tuple(routes), tuple(excursions), inspections,
-                tuple(breakdown), total)
+    breakdown = tuple(StepCost(t, **sums[t]) for t in range(1, n_t + 1))
+    return Plan(tuple(routes), tuple(excursions), inspections, breakdown)
 
 
 def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
@@ -544,7 +542,7 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
     by construction for structurally valid trajectories; useful as a warm
     incumbent and in tests."""
     pv = plan_vars
-    x = np.zeros(len(pv.reverse))
+    x = np.zeros(compact_variable_count(pv.scenario))
 
     for route in carrier_routes:
         for t, loc in enumerate(route, start=1):

@@ -61,9 +61,6 @@ class DirEdge:
     head: int
     uedge: int
 
-    def reverse(self) -> "DirEdge":
-        return DirEdge(self.head, self.tail, self.uedge)
-
 
 class Graph:
     """Undirected topological graph with derived directed/location views."""
@@ -181,11 +178,6 @@ class Graph:
             return self._edge_index[label]
         except KeyError:
             raise ValidationError(f"unknown edge {label!r}") from None
-
-
-def locations(graph: Graph) -> list[int]:
-    """All locations in canonical order (nodes, then directed edges)."""
-    return list(range(graph.n_locations))
 
 
 def hurwicz_value(lower: float, upper: float, optimism: float) -> float:

@@ -28,9 +28,11 @@ INT_TOL = 1e-6
 
 
 class Sense(str, Enum):
-    LE = "<="
-    EQ = "=="
-    GE = ">="
+    """A row's sense, valued as its LpProblem and MPS row letter."""
+
+    LE = "L"
+    EQ = "E"
+    GE = "G"
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,6 @@ class Model:
         return len(self.constraints) - 1
 
 
-_SENSE_ROW = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-
-
 @dataclass(frozen=True)
 class LpProblem:
     """min objective @ x + constant  s.t.  rows x {<=,==,>=} rhs,
@@ -185,7 +184,7 @@ def model_arrays(model: Model) -> tuple[LpProblem, np.ndarray]:
                           np.array(indptr, dtype=index)), shape=(len(model.constraints), n))
     problem = LpProblem(
         objective, rows,
-        np.array([_SENSE_ROW[con.sense] for con in model.constraints], dtype="<U1"),
+        np.array([con.sense.value for con in model.constraints], dtype="<U1"),
         np.array([con.rhs - con.expr.constant for con in model.constraints], dtype=float),
         np.array([var.lower for var in model.variables], dtype=float),
         np.array([var.upper for var in model.variables], dtype=float),

@@ -1,19 +1,23 @@
 """Serialization of plans and mission logs: JSON, CSV and DOT renderings.
 
-Every JSON writer has a matching loader so emitted files round-trip.  All
-writers sort keys and avoid wall-clock content unless asked to keep it, so
-deterministic runs serialize byte-identically.
+Every JSON writer has a matching loader so emitted files round-trip.  Each
+record has one field list, its dataclass's: writer and loader name only
+the fields they convert to labels and back, so the mission loader rejects
+a step key the writer would not write, or a missing one, and a belief that
+does not name every edge once.  Totals are sums of the steps and are not
+read back.  All writers sort keys and avoid wall-clock content unless asked
+to keep it, so deterministic runs serialize byte-identically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 from .executor import BeliefState, MissionLog, MissionStep
-from .formulation import Excursion, Plan, StepCost
+from .formulation import COST_CATEGORIES, Excursion, Plan, StepCost
 from .graphs import EdgeData, Graph
-from .scenario import Scenario
+from .scenario import ParseError, Scenario
 
 
 def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
@@ -50,7 +54,7 @@ def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
         (g.edge_index(label), int(t)) for label, t in doc["inspections"]
     )
     breakdown = tuple(StepCost(**s) for s in doc["steps"])
-    return Plan(routes, excursions, inspections, breakdown, doc["total_cost"])
+    return Plan(routes, excursions, inspections, breakdown)
 
 
 def plan_to_json(plan: Plan, scenario: Scenario) -> str:
@@ -58,13 +62,9 @@ def plan_to_json(plan: Plan, scenario: Scenario) -> str:
 
 
 def plan_cost_csv(plan: Plan) -> str:
-    lines = ["step,time_cost,traversal_cost,uncertainty_cost,launch_cost,total"]
-    for s in plan.breakdown:
-        lines.append(
-            f"{s.step},{s.time_cost:.9g},{s.traversal_cost:.9g},"
-            f"{s.uncertainty_cost:.9g},{s.launch_cost:.9g},{s.total:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    return comparison_csv(
+        ["step", *COST_CATEGORIES, "total"],
+        [[*astuple(s), s.total] for s in plan.breakdown])
 
 
 def scout_visit_counts(scenario: Scenario, excursions) -> dict[int, int]:
@@ -123,59 +123,55 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
         "objective_true_cost": log.objective_true_cost,
         "steps": [
             {
-                "index": s.index,
+                **vars(s),
                 "solve_seconds": s.solve_seconds if keep_timings else 0.0,
-                "model_variables": s.model_variables,
-                "planned_objective": s.planned_objective,
                 "positions_after": [g.location_label(loc) for loc in s.positions_after],
                 "excursions": [_excursion_to_dict(g, e) for e in s.excursions],
                 "observations": [[g.edge_label(ue), cost] for ue, cost in s.observations],
                 "belief_after": [
-                    {
-                        "edge": g.edge_label(ue),
-                        "weight": data.weight,
-                        "unc_lower": data.unc_lower,
-                        "unc_upper": data.unc_upper,
-                        "age": age,
-                    }
+                    {"edge": g.edge_label(ue), "weight": data.weight,
+                     "unc_lower": data.unc_lower, "unc_upper": data.unc_upper,
+                     "age": age}
                     for ue, (data, age) in enumerate(
                         zip(s.belief_after.edges, s.belief_after.ages))
                 ],
-                "route_true_increment": s.route_true_increment,
-                "scout_true_increment": s.scout_true_increment,
-                "teaming_increment": s.teaming_increment,
-                "launch_increment": s.launch_increment,
             }
             for s in log.steps
         ],
     }
 
 
+def _belief_from_list(g: Graph, entries: list) -> BeliefState:
+    """belief_after read by each entry's edge label; the entries must name
+    every edge of the graph exactly once."""
+    by_label = {e["edge"]: e for e in entries}
+    ordered = [by_label.get(g.edge_label(ue)) for ue in range(len(g.uedges))]
+    if len(entries) != len(ordered) or None in ordered:
+        raise ParseError(f"belief_after names {[e['edge'] for e in entries]}, "
+                         "not every edge of the graph once")
+    return BeliefState(
+        tuple(EdgeData(e["weight"], e["unc_lower"], e["unc_upper"],
+                       g.edge_data(ue).team_discount) for ue, e in enumerate(ordered)),
+        tuple(e["age"] for e in ordered),
+    )
+
+
 def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
     g = scenario.graph
     steps = []
-    for s in doc["steps"]:
-        steps.append(MissionStep(
-            index=s["index"],
-            solve_seconds=s["solve_seconds"],
-            model_variables=s["model_variables"],
-            planned_objective=s["planned_objective"],
-            positions_after=tuple(g.location_index(lbl) for lbl in s["positions_after"]),
-            excursions=tuple(_excursion_from_dict(g, e) for e in s["excursions"]),
-            observations=tuple(
-                (g.edge_index(label), cost) for label, cost in s["observations"]
-            ),
-            belief_after=BeliefState(
-                tuple(EdgeData(e["weight"], e["unc_lower"], e["unc_upper"],
-                               g.edge_data(ue).team_discount)
-                      for ue, e in enumerate(s["belief_after"])),
-                tuple(e["age"] for e in s["belief_after"]),
-            ),
-            route_true_increment=s["route_true_increment"],
-            scout_true_increment=s["scout_true_increment"],
-            teaming_increment=s["teaming_increment"],
-            launch_increment=s["launch_increment"],
-        ))
+    for i, s in enumerate(doc["steps"]):
+        fields = {
+            **s,
+            "positions_after": tuple(g.location_index(lbl) for lbl in s["positions_after"]),
+            "excursions": tuple(_excursion_from_dict(g, e) for e in s["excursions"]),
+            "observations": tuple((g.edge_index(label), cost)
+                                  for label, cost in s["observations"]),
+            "belief_after": _belief_from_list(g, s["belief_after"]),
+        }
+        try:
+            steps.append(MissionStep(**fields))
+        except TypeError as exc:    # a key the writer would not write, or a missing one
+            raise ParseError(f"steps[{i}]: {exc}") from None
     return MissionLog(doc["status"], tuple(steps))
 
 
@@ -188,19 +184,14 @@ def mission_to_json(log: MissionLog, scenario: Scenario,
 
 
 def mission_cost_csv(log: MissionLog, keep_timings: bool = True) -> str:
-    lines = [
-        "step,model_variables,solve_seconds,planned_objective,"
-        "route_true,scout_true,teaming,launch"
-    ]
-    for s in log.steps:
-        seconds = s.solve_seconds if keep_timings else 0.0
-        lines.append(
-            f"{s.index},{s.model_variables},{seconds:.6f},"
-            f"{s.planned_objective:.9g},{s.route_true_increment:.9g},"
-            f"{s.scout_true_increment:.9g},{s.teaming_increment:.9g},"
-            f"{s.launch_increment:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+    return comparison_csv(
+        ["step", "model_variables", "solve_seconds", "planned_objective",
+         "route_true", "scout_true", "teaming", "launch"],
+        [[s.index, s.model_variables,
+          f"{s.solve_seconds if keep_timings else 0.0:.6f}", s.planned_objective,
+          s.route_true_increment, s.scout_true_increment, s.teaming_increment,
+          s.launch_increment]
+         for s in log.steps])
 
 
 def comparison_csv(header: list[str], rows: list[list]) -> str:

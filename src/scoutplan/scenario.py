@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 
 from .graphs import EdgeData, Graph, ValidationError, effective_uncertainty, launch_cost_at
 
@@ -128,13 +128,6 @@ class Scenario:
     def launch_cost(self, node: int) -> float:
         return launch_cost_at(self.graph, node, self.launch_scale)
 
-    def with_team(self, carrier_count=None, scout_count=None) -> "Scenario":
-        return replace(
-            self,
-            carrier_count=self.carrier_count if carrier_count is None else carrier_count,
-            scout_count=self.scout_count if scout_count is None else scout_count,
-        )
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -179,7 +172,16 @@ class GroundTruth:
 
 _TOP_KEYS = {"nodes", "edges", "team", "horizon", "params", "starts", "goals", "ground_truth"}
 _EDGE_KEYS = {"a", "b", "w", "u_lower", "u_upper", "r"}
-_PARAM_KEYS = {"zeta", "xi", "lambda", "beta", "launch_scale", "term_weights"}
+# each scalar key of the team, horizon and params sections: the Scenario
+# field it holds and whether that field is integral.  params also takes the
+# optional term_weights list.
+_SECTIONS = {
+    "team": {"n_A": ("carrier_count", True), "n_K": ("scout_count", True)},
+    "horizon": {"n_T": ("horizon", True), "n_tau": ("scout_steps", True)},
+    "params": {"zeta": ("scout_cost_scale", False), "xi": ("explore_weight", False),
+               "lambda": ("decay_horizon", True), "beta": ("optimism", False),
+               "launch_scale": ("launch_scale", False)},
+}
 
 
 def _require(mapping: dict, allowed: set[str], context: str) -> None:
@@ -233,11 +235,14 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     """Parse and validate a scenario document.
 
     Top-level keys: nodes (list of string labels without '-'), edges (list of
-    {a, b, w, u_lower, u_upper, r}), team {n_A, n_K}, horizon {n_T, n_tau},
-    params {zeta, xi, lambda, beta, launch_scale, term_weights}, starts
-    [{node, count}], goals [{node, min_count}] (each node at most once per
-    list), optional ground_truth mapping "labelA-labelB" to a per-step cost
-    list.  Labels, endpoints and start and goal nodes must be strings.
+    {a, b, w, u_lower, u_upper, r}), the sections team {n_A, n_K}, horizon
+    {n_T, n_tau} and params {zeta, xi, lambda, beta, launch_scale,
+    term_weights}, starts [{node, count}], goals [{node, min_count}] (each
+    node at most once per list), optional ground_truth mapping
+    "labelA-labelB" to a per-step cost list.  _SECTIONS maps each section
+    key but term_weights to its Scenario field and is read here and by
+    scenario_to_document; integral fields reject non-integral numbers.
+    Labels, endpoints and start and goal nodes must be strings.
     """
     try:
         doc = json.loads(text)
@@ -271,14 +276,15 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
         edges.append((index[a], index[b], data))
     graph = Graph(labels, edges)
 
-    team = _key(doc, "team", "document")
-    _require(team, {"n_A", "n_K"}, "team")
-    hor = _key(doc, "horizon", "document")
-    _require(hor, {"n_T", "n_tau"}, "horizon")
-    params = _key(doc, "params", "document")
-    _require(params, _PARAM_KEYS, "params")
+    scalars = {}
+    for section, keys in _SECTIONS.items():
+        mapping = _key(doc, section, "document")
+        _require(mapping, {*keys, "term_weights"} if section == "params" else set(keys),
+                 section)
+        for key, (name, integral) in keys.items():
+            scalars[name] = (_integer if integral else _number)(mapping, key, section)
 
-    tw = params.get("term_weights", [1.0, 1.0, 1.0, 1.0])
+    tw = doc["params"].get("term_weights", [1.0, 1.0, 1.0, 1.0])
     if not isinstance(tw, list) or len(tw) != 4:
         raise ParseError("params.term_weights must be a list of four weights")
     weights = TermWeights(*(_number(tw, i, "params.term_weights") for i in range(4)))
@@ -297,21 +303,8 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     starts = node_locs("starts", "count")
     goals = node_locs("goals", "min_count")
 
-    scenario = Scenario(
-        graph=graph,
-        carrier_count=_integer(team, "n_A", "team"),
-        scout_count=_integer(team, "n_K", "team"),
-        horizon=_integer(hor, "n_T", "horizon"),
-        scout_steps=_integer(hor, "n_tau", "horizon"),
-        scout_cost_scale=_number(params, "zeta", "params"),
-        explore_weight=_number(params, "xi", "params"),
-        decay_horizon=_integer(params, "lambda", "params"),
-        optimism=_number(params, "beta", "params"),
-        launch_scale=_number(params, "launch_scale", "params"),
-        term_weights=weights,
-        starts=starts,
-        goals=goals,
-    )
+    scenario = Scenario(graph=graph, **scalars, term_weights=weights,
+                        starts=starts, goals=goals)
 
     truth = None
     if "ground_truth" in doc:
@@ -361,21 +354,8 @@ def scenario_to_document(scenario: Scenario, truth: GroundTruth | None = None) -
             }
             for a, b, d in g.uedges
         ],
-        "team": {"n_A": scenario.carrier_count, "n_K": scenario.scout_count},
-        "horizon": {"n_T": scenario.horizon, "n_tau": scenario.scout_steps},
-        "params": {
-            "zeta": scenario.scout_cost_scale,
-            "xi": scenario.explore_weight,
-            "lambda": scenario.decay_horizon,
-            "beta": scenario.optimism,
-            "launch_scale": scenario.launch_scale,
-            "term_weights": [
-                scenario.term_weights.time,
-                scenario.term_weights.traversal,
-                scenario.term_weights.uncertainty,
-                scenario.term_weights.launch,
-            ],
-        },
+        **{section: {key: getattr(scenario, name) for key, (name, _) in keys.items()}
+           for section, keys in _SECTIONS.items()},
         "starts": [
             {"node": g.location_label(loc), "count": count}
             for loc, count in scenario.starts
@@ -385,6 +365,7 @@ def scenario_to_document(scenario: Scenario, truth: GroundTruth | None = None) -
             for loc, count in scenario.goals
         ],
     }
+    doc["params"]["term_weights"] = list(astuple(scenario.term_weights))
     if truth is not None:
         doc["ground_truth"] = {
             g.edge_label(idx): list(trace) for idx, trace in enumerate(truth.traces)

@@ -11,6 +11,7 @@ from scoutplan.graphs import EdgeData, Graph
 from scoutplan.planner import solve_scenario
 from scoutplan.scenario import (
     GroundTruth,
+    ParseError,
     Scenario,
     load_scenario,
     scenario_to_document,
@@ -176,6 +177,15 @@ class TestPlan:
         again = report.plan_from_dict(doc, scenario)
         assert again == outcome.plan
 
+    def test_plan_total_is_the_sum_of_its_steps(self, small_path):
+        scenario, _ = load_scenario(small_path.read_text())
+        plan = solve_scenario(scenario).plan
+        doc = report.plan_to_dict(plan, scenario)
+        doc["total_cost"] += 100.0
+        again = report.plan_from_dict(doc, scenario)
+        assert again.total_cost == sum(step.total for step in plan.breakdown)
+        assert report.plan_to_dict(again, scenario)["total_cost"] == plan.total_cost
+
 
 class TestSimulate:
     def test_simulate_writes_logs(self, small_path, tmp_path):
@@ -217,6 +227,46 @@ class TestSimulate:
         doc = report.mission_to_dict(log, scenario)
         again = report.mission_from_dict(doc, scenario)
         assert report.mission_to_dict(again, scenario) == doc
+
+
+class TestMissionLoader:
+    @pytest.fixture(scope="class")
+    def mission(self, small_path):
+        scenario, truth = load_scenario(small_path.read_text())
+        log = run_mission(scenario, truth)
+        return scenario, log, json.dumps(report.mission_to_dict(log, scenario))
+
+    def test_belief_is_read_by_edge_label(self, mission):
+        scenario, log, text = mission
+        doc = json.loads(text)
+        for step in doc["steps"]:
+            step["belief_after"].reverse()
+        assert report.mission_from_dict(doc, scenario) == log
+
+    @pytest.mark.parametrize("edit", ["drop", "twice", "unknown"])
+    def test_belief_must_name_every_edge_once(self, mission, edit):
+        scenario, _, text = mission
+        doc = json.loads(text)
+        belief = doc["steps"][0]["belief_after"]
+        if edit == "drop":
+            del belief[1]
+        elif edit == "twice":
+            belief[1] = dict(belief[0])
+        else:
+            belief[1]["edge"] = "0-2"
+        with pytest.raises(ParseError, match="belief_after"):
+            report.mission_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_step_keys_must_match_the_writer(self, mission, edit):
+        scenario, _, text = mission
+        doc = json.loads(text)
+        if edit == "unknown":
+            doc["steps"][0]["bound"] = 1.0
+        else:
+            del doc["steps"][0]["launch_increment"]
+        with pytest.raises(ParseError, match=r"steps\[0\]"):
+            report.mission_from_dict(doc, scenario)
 
 
 class TestAblateAndSweep:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,12 +109,9 @@ class TestVariableCounts:
     def test_index_maps_are_bijective(self):
         sc = small_scenario()
         model, pv = build_model(sc)
-        assert len(pv.reverse) == len(model.variables)
-        seen = set()
-        for vid, (family, key) in pv.reverse.items():
-            assert getattr(pv, family)[key] == vid
-            seen.add(vid)
-        assert seen == set(range(len(model.variables)))
+        ids = [vid for table in vars(pv).values() if isinstance(table, dict)
+               for vid in table.values()]
+        assert sorted(ids) == list(range(len(model.variables)))
 
 
 class TestInspectionRatioConstraints:
@@ -202,7 +200,7 @@ class TestMonotonicity:
             base = solve_milp(base_model)
             if base.status != "optimal":
                 continue
-            richer = sc.with_team(scout_count=min(sc.carrier_count, sc.scout_count + 1))
+            richer = replace(sc, scout_count=min(sc.carrier_count, sc.scout_count + 1))
             richer_model, _ = build_model(richer)
             upgraded = solve_milp(richer_model)
             assert upgraded.status == "optimal"
