@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fingerprint every deterministic CLI output on the bundled scenario.
 
-Runs, in process and on scenarios/ablation8.json, `validate` and the five
+Runs, in process and on scenarios/ablation8.json, `validate` and the six
 commands below, each writing into its own temporary directory, and prints
 each command's exit code (with a sha256 of validate's stdout) and one
 sha256 per written file, in a fixed order:
@@ -39,6 +39,7 @@ COMMANDS = (
     "simulate --deterministic --nodes-limit 5 --dot",
     "simulate --deterministic --nodes-limit 25",
     "ablate --deterministic --nodes-limit 25 --dot",
+    "sweep-beta --beta 0,0.45 --nodes-limit 5",
 )
 
 

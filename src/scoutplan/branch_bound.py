@@ -79,11 +79,17 @@ class MilpResult:
     x: np.ndarray | None
     objective: float | None
     best_bound: float
-    gap: float
     nodes: int
     lp_solves: int = 0                  # node LPs, cold retries included
     lp_pivots: int = 0                  # their simplex pivots
     factorizations: int = 0             # their sparse LU factorizations
+
+    @property
+    def gap(self) -> float:
+        """Incumbent minus best bound, or infinity without an incumbent."""
+        if self.objective is None:
+            return math.inf
+        return max(self.objective - self.best_bound, 0.0)
 
 
 def model_to_lp(model: milp.Model) -> tuple[LpProblem, list[int]]:
@@ -135,7 +141,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
                 else time.monotonic() + options.time_limit)
     presolved = presolve(*model_to_lp(model))
     if presolved is None:
-        return MilpResult("infeasible", None, None, math.inf, math.inf, 0)
+        return MilpResult("infeasible", None, None, math.inf, 0)
     work = {"lp_solves": 0, "lp_pivots": 0, "factorizations": 0}
     problem, int_ids = presolved.problem, presolved.int_ids
     solver = LpSolver(problem)
@@ -198,7 +204,6 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
 
     push(_Node(-math.inf, seq, {}))
     seq += 1
-    saw_unbounded = False
     limit_hit = None
 
     while heap:
@@ -230,8 +235,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         if res.status in ("infeasible", "cutoff"):
             continue
         if res.status == "unbounded":
-            saw_unbounded = True
-            break
+            return MilpResult("unbounded", None, None, -math.inf, nodes, **work)
 
         if node.seq == 0 and round_root is not None:    # the root LP is optimal
             offer(round_root(presolved.expand(res.x)))
@@ -264,18 +268,13 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             gap = "-" if incumbent_x is None else f"{max(incumbent_obj - bb, 0.0):.3e}"
             log.debug("nodes=%d best_bound=%.6f incumbent=%s gap=%s", nodes, bb, inc, gap)
 
-    if saw_unbounded:
-        return MilpResult("unbounded", None, None, -math.inf, math.inf, nodes, **work)
-
     open_bound = open_best_bound()
     if incumbent_x is None:
         if limit_hit:
-            return MilpResult("unknown", None, None, open_bound, math.inf, nodes,
-                              **work)
-        return MilpResult("infeasible", None, None, math.inf, math.inf, nodes, **work)
+            return MilpResult("unknown", None, None, open_bound, nodes, **work)
+        return MilpResult("infeasible", None, None, math.inf, nodes, **work)
 
     best_bound = min(open_bound, incumbent_obj)
-    gap = max(incumbent_obj - best_bound, 0.0)
-    status = "optimal" if not limit_hit and gap <= options.gap else "feasible"
-    return MilpResult(status, incumbent_x, incumbent_obj, best_bound, gap, nodes,
-                      **work)
+    status = ("optimal" if not limit_hit and incumbent_obj - best_bound <= options.gap
+              else "feasible")
+    return MilpResult(status, incumbent_x, incumbent_obj, best_bound, nodes, **work)

@@ -2,6 +2,8 @@
 optimism sweeps and format exports.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible, 4 solver limit reached.
+Invalid input that argparse accepts is raised as one exception, _Invalid,
+whose message main alone prints as `error: <message>` before returning 2.
 """
 
 from __future__ import annotations
@@ -22,29 +24,25 @@ from .formulation import (
 from .graphs import ValidationError
 from .milp import export_mps
 from .planner import solve_scenario
-from .scenario import ParseError, load_scenario_file
+from .scenario import load_scenario_file
 
 OK, INVALID, INFEASIBLE, LIMIT = 0, 2, 3, 4
 
 
-def _solver_options(args) -> SolveOptions:
-    try:
-        return SolveOptions(gap=args.gap, node_limit=args.nodes_limit,
-                            time_limit=args.time_limit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(INVALID)
+class _Invalid(Exception):
+    """Invalid input; main prints its message and returns INVALID."""
 
 
-def _load(path: str):
+def _load(path: str, need_truth: bool = False):
     try:
-        return load_scenario_file(path)
+        scenario, truth = load_scenario_file(path)
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(INVALID)
-    except (OSError, ParseError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(INVALID)
+        raise _Invalid(f"no such file: {path}") from None
+    except (OSError, ValueError) as exc:    # ParseError and ValidationError too
+        raise _Invalid(exc) from None
+    if need_truth and truth is None:
+        raise _Invalid("scenario has no ground_truth section")
+    return scenario, truth
 
 
 def _outdir(args) -> Path:
@@ -52,8 +50,7 @@ def _outdir(args) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: output directory {out}: {exc}", file=sys.stderr)
-        raise SystemExit(INVALID)
+        raise _Invalid(f"output directory {out}: {exc}") from None
     return out
 
 
@@ -103,10 +100,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario, truth = _load(args.scenario)
-    if truth is None:
-        print("error: scenario has no ground_truth section", file=sys.stderr)
-        return INVALID
+    scenario, truth = _load(args.scenario, need_truth=True)
     out = _outdir(args)
     log = run_mission(scenario, truth, args.options)
     keep = not args.deterministic
@@ -129,10 +123,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    scenario, truth = _load(args.scenario)
-    if truth is None:
-        print("error: scenario has no ground_truth section", file=sys.stderr)
-        return INVALID
+    scenario, truth = _load(args.scenario, need_truth=True)
     out = _outdir(args)
     if args.variant:
         logs = {args.variant: run_mission(variant_scenario(scenario, args.variant),
@@ -161,30 +152,28 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_beta(args) -> int:
-    scenario, truth = _load(args.scenario)
-    if truth is None:
-        print("error: scenario has no ground_truth section", file=sys.stderr)
-        return INVALID
-    out = _outdir(args)
+    scenario, truth = _load(args.scenario, need_truth=True)
     try:
-        betas = [float(b) for b in args.beta.split(",")]
+        arms = [replace(scenario, optimism=float(b)) for b in args.beta.split(",")]
+    except ValidationError as exc:          # an optimism outside [0, 0.5)
+        raise _Invalid(exc) from None
     except ValueError:
-        print(f"error: bad --beta list {args.beta!r}", file=sys.stderr)
-        return INVALID
+        raise _Invalid(f"bad --beta list {args.beta!r}") from None
+    out = _outdir(args)
     g = scenario.graph
-    header = ["edge"] + [f"beta={b:g}" for b in betas]
+    header = ["edge"] + [f"beta={arm.optimism:g}" for arm in arms]
     per_edge = {ue: [] for ue in range(len(g.uedges))}
     totals = []
-    for beta in betas:
-        log = run_mission(replace(scenario, optimism=beta), truth, args.options)
+    for arm in arms:
+        log = run_mission(arm, truth, args.options)
         counts = report.scout_visit_counts(
             scenario, [e for s in log.steps for e in s.excursions])
         for ue in per_edge:
             per_edge[ue].append(counts[ue])
         totals.append(sum(counts.values()))
-        (out / f"routes_beta{beta:g}.dot").write_text(
+        (out / f"routes_beta{arm.optimism:g}.dot").write_text(
             report.routes_dot(scenario, visit_counts=counts))
-        print(f"beta={beta:g}: status {log.status} scout edge visits "
+        print(f"beta={arm.optimism:g}: status {log.status} scout edge visits "
               f"{sum(counts.values())}")
     rows = [[g.edge_label(ue)] + per_edge[ue] for ue in sorted(per_edge)]
     rows.append(["total"] + totals)
@@ -245,15 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # exits 2 on bad input, 0 on --help
-        if "gap" in args:                       # every command but validate
-            args.options = _solver_options(args)    # before any output is written
+        if "gap" in args:                       # every command but validate,
+            try:                                # before any output is written
+                args.options = SolveOptions(gap=args.gap, node_limit=args.nodes_limit,
+                                            time_limit=args.time_limit)
+            except ValueError as exc:
+                raise _Invalid(exc) from None
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else INVALID
-    except (ParseError, ValidationError) as exc:
+    except _Invalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVALID
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -180,7 +180,7 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
         belief = update_belief(belief, observed, scenario)
         tail = (
             tuple(route[1:] for route in plan.carrier_routes),
-            tuple(Excursion(e.node, e.step - 1, e.walk)
+            tuple(Excursion(e.step - 1, e.walk)
                   for e in plan.scout_excursions if e.step >= 2),
         )
         steps.append(MissionStep(

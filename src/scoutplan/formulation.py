@@ -419,11 +419,15 @@ def build_model(scenario: Scenario) -> tuple[Model, PlanVars]:
 
 @dataclass(frozen=True)
 class Excursion:
-    """One scout deployment: launch node, carrier step, walk over sub-steps."""
+    """One scout deployment: step, the carrier step it launches at, and walk,
+    its locations over the sub-steps; node, its launch node, begins the walk."""
 
-    node: int
     step: int
     walk: tuple[int, ...]
+
+    @property
+    def node(self) -> int:
+        return self.walk[0]
 
 
 @dataclass(frozen=True)
@@ -521,7 +525,7 @@ def extract_plan(solution, plan_vars: PlanVars) -> Plan:
             g.successors,
             f"scouts of carrier step {t}",
         )
-        excursions.extend(Excursion(v, t, walk) for v, walk in zip(deployments, walks))
+        excursions.extend(Excursion(t, walk) for walk in walks)
 
     inspections = frozenset(
         (ue, t) for (ue, t), vid in pv.inspected.items()
@@ -622,7 +626,7 @@ def heuristic_plan_from_relaxation(x, plan_vars: PlanVars):
                                    key=lambda c: (remaining.get((c, s), 0.0), -c))
                         remaining[(succ, s)] = remaining.get((succ, s), 0.0) - 1.0
                         walk.append(succ)
-                    excursions.append(Excursion(v, t, tuple(walk)))
+                    excursions.append(Excursion(t, tuple(walk)))
     return [tuple(r) for r in routes], tuple(excursions)
 
 

@@ -74,8 +74,6 @@ def evaluate_plan_cost(scenario: Scenario, carrier_routes, scout_excursions=()):
             raise ValueError(f"deployment at step {exc.step} outside [1, {n_t - 1}]")
         if len(exc.walk) != n_tau:
             raise ValueError(f"scout walk has {len(exc.walk)} sub-steps, expected {n_tau}")
-        if exc.walk[0] != exc.node:
-            raise ValueError("scout walk must begin at its launch node")
         if carrier.get((exc.node, exc.step), 0) <= deployments.get((exc.node, exc.step), 0):
             raise ValueError(
                 f"deployment at {g.location_label(exc.node)} step {exc.step} "
@@ -255,9 +253,9 @@ def enumerate_optimal(scenario: Scenario) -> OracleResult:
 
         for schedule in product(*step_options):
             excursions = tuple(
-                Excursion(v, t, walk)
+                Excursion(t, walk)
                 for t, combo in enumerate(schedule, start=1)
-                for v, walk in combo
+                for _, walk in combo
             )
             _, total = evaluate_plan_cost(scenario, routes, excursions)
             if total < best - 1e-12:

@@ -126,7 +126,7 @@ def structured_candidate(plan_vars: PlanVars) -> list:
                     walk = _ahead_walk(g, path[path.index(here):],
                                        scenario.scout_steps)
                     if walk:
-                        ahead.append(Excursion(here, t, walk))
+                        ahead.append(Excursion(t, walk))
                 if ahead:
                     variants.append(tuple(ahead))
             for excursions in variants:

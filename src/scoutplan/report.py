@@ -2,11 +2,14 @@
 
 Every JSON writer has a matching loader so emitted files round-trip.  Each
 record has one field list, its dataclass's: writer and loader name only
-the fields they convert to labels and back, so the mission loader rejects
-a step key the writer would not write, or a missing one, and a belief that
-does not name every edge once.  Totals are sums of the steps and are not
-read back.  All writers sort keys and avoid wall-clock content unless asked
-to keep it, so deterministic runs serialize byte-identically.
+the fields they convert to labels and back.  The loaders read through
+scenario's _require and _key and reject what the writers would not write:
+top-level keys other than exactly _PLAN_KEYS or _MISSION_KEYS, excursion
+keys other than exactly node, step and walk, an excursion whose node is
+not its walk's first location, an unknown or missing step key, and a
+belief that does not name every edge once.  Totals are sums of the steps
+and are not read back.  All writers sort keys and avoid wall-clock content
+unless asked to keep it, so deterministic runs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -17,7 +20,24 @@ from dataclasses import asdict, astuple
 from .executor import BeliefState, MissionLog, MissionStep
 from .formulation import COST_CATEGORIES, Excursion, Plan, StepCost
 from .graphs import EdgeData, Graph
-from .scenario import ParseError, Scenario
+from .scenario import ParseError, Scenario, _key, _require
+
+_PLAN_KEYS = ("routes", "excursions", "inspections", "steps", "total_cost")
+_MISSION_KEYS = ("status", "route_true_cost", "objective_true_cost", "steps")
+_EXCURSION_KEYS = ("node", "step", "walk")
+
+
+def _exactly(doc, keys: tuple[str, ...], context: str) -> list:
+    """doc's values for keys, which must be exactly doc's keys."""
+    _require(doc, set(keys), context)
+    return [_key(doc, key, context) for key in keys]
+
+
+def _record(cls, fields: dict, context: str):
+    try:
+        return cls(**fields)
+    except TypeError as exc:    # a key the writer would not write, or a missing one
+        raise ParseError(f"{context}: {exc}") from None
 
 
 def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
@@ -25,9 +45,12 @@ def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
             "walk": [g.location_label(loc) for loc in exc.walk]}
 
 
-def _excursion_from_dict(g: Graph, doc: dict) -> Excursion:
-    return Excursion(g.location_index(doc["node"]), int(doc["step"]),
-                     tuple(g.location_index(label) for label in doc["walk"]))
+def _excursion_from_dict(g: Graph, doc, context: str) -> Excursion:
+    node, step, walk = _exactly(doc, _EXCURSION_KEYS, context)
+    walk = tuple(g.location_index(label) for label in walk)
+    if walk[:1] != (g.location_index(node),):
+        raise ParseError(f"{context}: node {node!r} is not where its walk begins")
+    return Excursion(int(step), walk)
 
 
 # -- plans ---------------------------------------------------------------------
@@ -46,15 +69,14 @@ def plan_to_dict(plan: Plan, scenario: Scenario) -> dict:
 
 def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
     g = scenario.graph
-    routes = tuple(
-        tuple(g.location_index(label) for label in route) for route in doc["routes"]
+    routes, excursions, inspections, steps, _ = _exactly(doc, _PLAN_KEYS, "document")
+    return Plan(
+        tuple(tuple(g.location_index(label) for label in route) for route in routes),
+        tuple(_excursion_from_dict(g, e, f"excursions[{i}]")
+              for i, e in enumerate(excursions)),
+        frozenset((g.edge_index(label), int(t)) for label, t in inspections),
+        tuple(_record(StepCost, s, f"steps[{i}]") for i, s in enumerate(steps)),
     )
-    excursions = tuple(_excursion_from_dict(g, e) for e in doc["excursions"])
-    inspections = frozenset(
-        (g.edge_index(label), int(t)) for label, t in doc["inspections"]
-    )
-    breakdown = tuple(StepCost(**s) for s in doc["steps"])
-    return Plan(routes, excursions, inspections, breakdown)
 
 
 def plan_to_json(plan: Plan, scenario: Scenario) -> str:
@@ -158,21 +180,22 @@ def _belief_from_list(g: Graph, entries: list) -> BeliefState:
 
 def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
     g = scenario.graph
+    status, _, _, docs = _exactly(doc, _MISSION_KEYS, "document")
     steps = []
-    for i, s in enumerate(doc["steps"]):
+    for i, s in enumerate(docs):
+        context = f"steps[{i}]"
         fields = {
             **s,
-            "positions_after": tuple(g.location_index(lbl) for lbl in s["positions_after"]),
-            "excursions": tuple(_excursion_from_dict(g, e) for e in s["excursions"]),
+            "positions_after": tuple(g.location_index(label)
+                                     for label in _key(s, "positions_after", context)),
+            "excursions": tuple(_excursion_from_dict(g, e, f"{context}.excursions[{j}]")
+                                for j, e in enumerate(_key(s, "excursions", context))),
             "observations": tuple((g.edge_index(label), cost)
-                                  for label, cost in s["observations"]),
-            "belief_after": _belief_from_list(g, s["belief_after"]),
+                                  for label, cost in _key(s, "observations", context)),
+            "belief_after": _belief_from_list(g, _key(s, "belief_after", context)),
         }
-        try:
-            steps.append(MissionStep(**fields))
-        except TypeError as exc:    # a key the writer would not write, or a missing one
-            raise ParseError(f"steps[{i}]: {exc}") from None
-    return MissionLog(doc["status"], tuple(steps))
+        steps.append(_record(MissionStep, fields, context))
+    return MissionLog(status, tuple(steps))
 
 
 def mission_to_json(log: MissionLog, scenario: Scenario,

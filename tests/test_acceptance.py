@@ -237,6 +237,14 @@ def test_criterion_8_certified_solve(bundled):
            f"nodes {result.nodes}, {elapsed:.0f}s")
 
 
+def assert_counts_reaggregate(plan, scenario, plan_vars, solution):
+    carrier, scout = aggregate_counts(plan, scenario)
+    for (loc, t), vid in plan_vars.carrier_at.items():
+        assert carrier.get((loc, t), 0) == round(solution[vid])
+    for key, vid in plan_vars.scout_at.items():
+        assert scout.get(key, 0) == round(solution[vid])
+
+
 def test_criterion_9_round_trip(tiny_corpus, bundled):
     worst = 0.0
     for case in tiny_corpus:
@@ -245,17 +253,17 @@ def test_criterion_9_round_trip(tiny_corpus, bundled):
         plan = extract_plan(case.solution, case.plan_vars)
         _, total = evaluate_plan_cost(case.scenario, plan)
         worst = max(worst, abs(total - case.milp_objective))
-        carrier, scout = aggregate_counts(plan, case.scenario)
-        for (loc, t), vid in case.plan_vars.carrier_at.items():
-            assert carrier.get((loc, t), 0) == round(case.solution[vid])
-        for key, vid in case.plan_vars.scout_at.items():
-            assert scout.get(key, 0) == round(case.solution[vid])
+        assert_counts_reaggregate(plan, case.scenario, case.plan_vars, case.solution)
     # one bundled-scenario solve stands in for the mission-criteria solutions
-    # (missions extract plans through this exact path at every step)
+    # (missions extract plans through this exact path at every step); its
+    # plan flies scouts, so their counts are re-aggregated too
     scenario, _ = bundled
     outcome = solve_scenario(scenario, MISSION_OPTIONS)
     _, total = evaluate_plan_cost(scenario, outcome.plan)
     worst = max(worst, abs(total - outcome.result.objective))
+    assert outcome.plan.scout_excursions
+    assert_counts_reaggregate(outcome.plan, scenario, build_model(scenario)[1],
+                              outcome.result.x)
     report("9 (plan/objective round trip)", worst <= 1e-9,
            f"max |evaluate(extract(x)) - objective| = {worst:.2e}")
 

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from scoutplan import report
+from scoutplan.branch_bound import SolveOptions
 from scoutplan.cli import main
 from scoutplan.executor import run_mission
 from scoutplan.generate import random_tiny_scenario
@@ -37,6 +38,17 @@ def small_path(tmp_path_factory):
     doc = scenario_to_document(sc, truth)
     path = tmp_path_factory.mktemp("scenarios") / "small.json"
     path.write_text(json.dumps(doc, indent=2))
+    return path
+
+
+@pytest.fixture(scope="module")
+def two_start_path(small_path):
+    """small_path with its carriers starting apart, where the structured
+    candidate offers no incumbent seed and the goal is not met at the start."""
+    doc = json.loads(small_path.read_text())
+    doc["starts"] = [{"node": "0", "count": 1}, {"node": "1", "count": 1}]
+    path = small_path.with_name("two_start.json")
+    path.write_text(json.dumps(doc))
     return path
 
 
@@ -170,6 +182,14 @@ class TestPlan:
         assert taken.read_text() == "kept"
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
+    def test_no_plan_within_the_node_limit_exits_four(self, two_start_path, tmp_path,
+                                                      capsys):
+        out = tmp_path / "o"
+        assert main(["plan", str(two_start_path), "-o", str(out),
+                     "--nodes-limit", "0"]) == 4
+        assert capsys.readouterr().err == "solver stopped: unknown\n"
+        assert not (out / "plan.json").exists()
+
     def test_plan_round_trips(self, small_path, tmp_path):
         scenario, _ = load_scenario(small_path.read_text())
         outcome = solve_scenario(scenario)
@@ -221,6 +241,12 @@ class TestSimulate:
         bare.write_text(json.dumps(doc))
         assert main(["simulate", str(bare), "-o", str(tmp_path / "x")]) == 2
 
+    def test_solver_limit_mission_exits_four(self, two_start_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["simulate", str(two_start_path), "-o", str(out),
+                     "--nodes-limit", "0"]) == 4
+        assert json.loads((out / "mission.json").read_text())["status"] == "solver-limit"
+
     def test_mission_log_round_trips(self, small_path):
         scenario, truth = load_scenario(small_path.read_text())
         log = run_mission(scenario, truth)
@@ -267,6 +293,83 @@ class TestMissionLoader:
             del doc["steps"][0]["launch_increment"]
         with pytest.raises(ParseError, match=r"steps\[0\]"):
             report.mission_from_dict(doc, scenario)
+
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_top_level_keys_must_match_the_writer(self, mission, edit):
+        scenario, _, text = mission
+        doc = json.loads(text)
+        if edit == "unknown":
+            doc["stauts"] = doc["status"]
+        else:
+            del doc["route_true_cost"]
+        with pytest.raises(ParseError, match="document"):
+            report.mission_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("key", ["positions_after", "excursions", "observations",
+                                     "belief_after"])
+    def test_step_without_a_converted_key(self, mission, key):
+        scenario, _, text = mission
+        doc = json.loads(text)
+        del doc["steps"][0][key]
+        with pytest.raises(ParseError, match=rf"steps\[0\]: missing key '{key}'"):
+            report.mission_from_dict(doc, scenario)
+
+
+class TestPlanLoader:
+    @pytest.fixture(scope="class")
+    def plan(self, ablation_scenario):
+        """The bundled scenario's 25-node plan, which flies scouts."""
+        scenario, _ = ablation_scenario
+        plan = solve_scenario(scenario, SolveOptions(node_limit=25)).plan
+        return scenario, plan, json.dumps(report.plan_to_dict(plan, scenario))
+
+    def test_scout_plan_round_trips(self, plan):
+        scenario, plan, text = plan
+        assert plan.scout_excursions
+        assert report.plan_from_dict(json.loads(text), scenario) == plan
+
+    def test_excursion_node_must_begin_its_walk(self, plan):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        excursion = doc["excursions"][0]
+        excursion["node"] = next(label for label in scenario.graph.node_labels
+                                 if label != excursion["walk"][0])
+        with pytest.raises(ParseError, match=r"excursions\[0\]"):
+            report.plan_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_excursion_keys_must_match_the_writer(self, plan, edit):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        if edit == "unknown":
+            doc["excursions"][0]["launch"] = 1
+        else:
+            del doc["excursions"][0]["step"]
+        with pytest.raises(ParseError, match=r"excursions\[0\]"):
+            report.plan_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_top_level_keys_must_match_the_writer(self, plan, edit):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        if edit == "unknown":
+            doc["routs"] = doc["routes"]
+        else:
+            del doc["total_cost"]
+        with pytest.raises(ParseError, match="document"):
+            report.plan_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("edit", ["unknown", "missing"])
+    def test_step_keys_must_match_the_writer(self, plan, edit):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        if edit == "unknown":
+            doc["steps"][0]["bound"] = 1.0
+        else:
+            del doc["steps"][0]["launch_cost"]
+        with pytest.raises(ParseError, match=r"steps\[0\]"):
+            report.plan_from_dict(doc, scenario)
 
 
 class TestAblateAndSweep:

@@ -64,7 +64,7 @@ class TestEvaluatePlanCost:
         edge_ba = g.edge_location(1, 0)
         walk = (0, edge_ab, edge_ba, 0)
         routes = ((0, 0, edge_ab, 1),)
-        excursions = (Excursion(0, 1, walk),)
+        excursions = (Excursion(1, walk),)
         steps, _ = evaluate_plan_cost(sc, routes, excursions)
         # inspected at step 1: full credit at step 2, carrier crosses at step 3
         # with credit 0.4, so uncertainty cost is (1 - 0.4) * 5 twice over
@@ -87,7 +87,7 @@ class TestEvaluatePlanCost:
         walk = (1, edge_ba, edge_ab, 1)
         routes = ((0, 0, 0, 0),)
         with pytest.raises(ValueError, match="exceeds carriers"):
-            evaluate_plan_cost(sc, routes, (Excursion(1, 1, walk),))
+            evaluate_plan_cost(sc, routes, (Excursion(1, walk),))
 
 
 class TestEnumerate:

@@ -1,5 +1,6 @@
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,54 +84,68 @@ class TestDeterminism:
         assert a.iterations == b.iterations
 
 
+def assert_random_lp_matches_reference(seed):
+    """A random boxed LP gets HiGHS's verdict, and an optimum that is
+    feasible and as good as HiGHS's."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    n = int(rng.integers(1, 9))
+    A = np.round(rng.uniform(-3, 3, size=(m, n)) * (rng.random((m, n)) < 0.7), 2)
+    c = np.round(rng.uniform(-5, 5, n), 2)
+    lower = np.round(rng.uniform(-3, 0, n), 2)
+    upper = lower + np.round(rng.uniform(0, 4, n), 2)
+    senses = np.array(["L", "G", "E"])[rng.integers(0, 3, m)]
+    rhs = np.round(rng.uniform(-4, 4, m), 2)
+    prob = boxed_lp(c, A, senses, rhs, lower, upper)
+    res = LpSolver(prob).solve()
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for i, s in enumerate(senses):
+        if s == "L":
+            a_ub.append(A[i]); b_ub.append(rhs[i])
+        elif s == "G":
+            a_ub.append(-A[i]); b_ub.append(-rhs[i])
+        else:
+            a_eq.append(A[i]); b_eq.append(rhs[i])
+    ref = linprog(c,
+                  A_ub=np.array(a_ub) if a_ub else None,
+                  b_ub=np.array(b_ub) if b_ub else None,
+                  A_eq=np.array(a_eq) if a_eq else None,
+                  b_eq=np.array(b_eq) if b_eq else None,
+                  bounds=list(zip(lower, upper)), method="highs")
+    if ref.status == 0:
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(ref.fun, abs=1e-6)
+        # feasibility of the reported optimum
+        lhs = A @ res.x
+        for i, s in enumerate(senses):
+            if s == "L":
+                assert lhs[i] <= rhs[i] + 1e-6
+            elif s == "G":
+                assert lhs[i] >= rhs[i] - 1e-6
+            else:
+                assert lhs[i] == pytest.approx(rhs[i], abs=1e-6)
+        assert np.all(res.x >= lower - 1e-6)
+        assert np.all(res.x <= upper + 1e-6)
+    elif ref.status == 2:
+        assert res.status == "infeasible"
+    elif ref.status == 3:
+        assert res.status == "unbounded"
+
+
 class TestFeasibilityOfReportedOptima:
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_random_lps_match_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 7))
-        n = int(rng.integers(1, 9))
-        A = np.round(rng.uniform(-3, 3, size=(m, n)) * (rng.random((m, n)) < 0.7), 2)
-        c = np.round(rng.uniform(-5, 5, n), 2)
-        lower = np.round(rng.uniform(-3, 0, n), 2)
-        upper = lower + np.round(rng.uniform(0, 4, n), 2)
-        senses = np.array(["L", "G", "E"])[rng.integers(0, 3, m)]
-        rhs = np.round(rng.uniform(-4, 4, m), 2)
-        prob = boxed_lp(c, A, senses, rhs, lower, upper)
-        res = LpSolver(prob).solve()
+        assert_random_lp_matches_reference(seed)
 
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for i, s in enumerate(senses):
-            if s == "L":
-                a_ub.append(A[i]); b_ub.append(rhs[i])
-            elif s == "G":
-                a_ub.append(-A[i]); b_ub.append(-rhs[i])
-            else:
-                a_eq.append(A[i]); b_eq.append(rhs[i])
-        ref = linprog(c,
-                      A_ub=np.array(a_ub) if a_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(a_eq) if a_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      bounds=list(zip(lower, upper)), method="highs")
-        if ref.status == 0:
-            assert res.status == "optimal"
-            assert res.objective == pytest.approx(ref.fun, abs=1e-6)
-            # feasibility of the reported optimum
-            lhs = A @ res.x
-            for i, s in enumerate(senses):
-                if s == "L":
-                    assert lhs[i] <= rhs[i] + 1e-6
-                elif s == "G":
-                    assert lhs[i] >= rhs[i] - 1e-6
-                else:
-                    assert lhs[i] == pytest.approx(rhs[i], abs=1e-6)
-            assert np.all(res.x >= lower - 1e-6)
-            assert np.all(res.x <= upper + 1e-6)
-        elif ref.status == 2:
-            assert res.status == "infeasible"
-        elif ref.status == 3:
-            assert res.status == "unbounded"
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_blands_rule_matches_reference(self, seed):
+        # Bland's rule from the first pivot on, instead of after a long
+        # degenerate run, which these small LPs never reach
+        with mock.patch.object(simplex, "_BLAND_AFTER", 0):
+            assert_random_lp_matches_reference(seed)
 
 
 class TestWarmStart:
