@@ -3,7 +3,9 @@ optimism sweeps and format exports.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible, 4 solver limit reached.
 Invalid input that argparse accepts is raised as one exception, _Invalid,
-whose message main alone prints as `error: <message>` before returning 2.
+or, for a scenario whose model would exceed the variable limit, as the
+ValidationError of build_model; main alone prints either message as
+`error: <message>` before returning 2.
 """
 
 from __future__ import annotations
@@ -243,6 +245,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else INVALID
-    except _Invalid as exc:
+    except (_Invalid, ValidationError) as exc:  # ValidationError: too many variables
         print(f"error: {exc}", file=sys.stderr)
         return INVALID

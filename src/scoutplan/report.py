@@ -6,10 +6,11 @@ the fields they convert to labels and back.  The loaders read through
 scenario's _require and _key and reject what the writers would not write:
 top-level keys other than exactly _PLAN_KEYS or _MISSION_KEYS, excursion
 keys other than exactly node, step and walk, an excursion whose node is
-not its walk's first location, an unknown or missing step key, and a
-belief that does not name every edge once.  Totals are sums of the steps
-and are not read back.  All writers sort keys and avoid wall-clock content
-unless asked to keep it, so deterministic runs serialize byte-identically.
+not its walk's first location, a step that is not an object, an unknown
+or missing step key, and a belief that does not name every edge once.
+Totals are sums of the steps and are not read back.  All writers sort keys
+and avoid wall-clock content unless asked to keep it, so deterministic
+runs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
     steps = []
     for i, s in enumerate(docs):
         context = f"steps[{i}]"
+        if not isinstance(s, dict):
+            raise ParseError(f"{context} must be an object")
         fields = {
             **s,
             "positions_after": tuple(g.location_index(label)

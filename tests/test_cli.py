@@ -182,6 +182,16 @@ class TestPlan:
         assert taken.read_text() == "kept"
         assert [path.name for path in tmp_path.iterdir()] == ["taken"]
 
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_model_over_the_variable_limit_exits_two(self, small_path, tmp_path,
+                                                     capsys, command):
+        doc = json.loads(small_path.read_text())
+        doc["horizon"]["n_tau"] = 400000
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        assert main([command, str(big), "-o", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: model would need ")
+
     def test_no_plan_within_the_node_limit_exits_four(self, two_start_path, tmp_path,
                                                       capsys):
         out = tmp_path / "o"
@@ -306,6 +316,13 @@ class TestMissionLoader:
         with pytest.raises(ParseError, match="document"):
             report.mission_from_dict(doc, scenario)
 
+    def test_step_that_is_not_an_object(self, mission):
+        scenario, _, text = mission
+        doc = json.loads(text)
+        doc["steps"][0] = list(doc["steps"][0])
+        with pytest.raises(ParseError, match=r"steps\[0\] must be an object"):
+            report.mission_from_dict(doc, scenario)
+
     @pytest.mark.parametrize("key", ["positions_after", "excursions", "observations",
                                      "belief_after"])
     def test_step_without_a_converted_key(self, mission, key):
@@ -358,6 +375,13 @@ class TestPlanLoader:
         else:
             del doc["total_cost"]
         with pytest.raises(ParseError, match="document"):
+            report.plan_from_dict(doc, scenario)
+
+    def test_step_that_is_not_an_object(self, plan):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        doc["steps"][0] = list(doc["steps"][0])
+        with pytest.raises(ParseError, match=r"steps\[0\]"):
             report.plan_from_dict(doc, scenario)
 
     @pytest.mark.parametrize("edit", ["unknown", "missing"])
