@@ -27,13 +27,16 @@ simplex with the incumbent minus the gap as its cutoff: a node that cannot
 beat the incumbent is fathomed as soon as the dual objective shows it,
 before its LP is solved to optimality.  With a time_limit the deadline
 reaches into each LP solve, and a node whose LP it interrupts goes back to
-the pool with its parent's bound.  Branching forbids the fractional value on
-both children via floor/ceil bound tightening.  Nodes are selected
-best-bound first, ties in creation order; branching picks the most
-fractional integer variable, where fractionalities within the integrality
-tolerance of the best tie and the lowest id among them wins.  With the
-logging level of scoutplan.branch_bound at DEBUG, each branched node logs
-the node count, best bound, incumbent and gap.
+the pool with its parent's bound.  A node is the bound changes it inherits,
+(column, lower, upper) triples from the root down, and its LP bounds are the
+presolved bounds with each change assigned in order.  Branching adds one
+change to each child: floor or ceil of the fractional value, with the node's
+own bound on the other side.  Nodes are selected best-bound first, ties in
+creation order; branching picks the most fractional integer variable, where
+fractionalities within the integrality tolerance of the best tie and the
+lowest id among them wins.  With the logging level of scoutplan.branch_bound
+at DEBUG, each branched node logs the node count, best bound, incumbent and
+gap.
 
 Without a time limit, identical inputs explore identical trees.
 """
@@ -92,17 +95,17 @@ class MilpResult:
         return max(self.objective - self.best_bound, 0.0)
 
 
-def model_to_lp(model: milp.Model) -> tuple[LpProblem, list[int]]:
-    """LP relaxation of the model plus the ids of its integer variables."""
+def model_to_lp(model: milp.Model) -> tuple[LpProblem, np.ndarray]:
+    """LP relaxation of the model plus its integer ids, an intp index array."""
     problem, integer = milp.model_arrays(model)
-    return problem, np.flatnonzero(integer).tolist()
+    return problem, np.flatnonzero(integer)
 
 
 @dataclass
 class _Node:
     bound: float
     seq: int
-    overrides: dict[int, tuple[float, float]]
+    changes: tuple[tuple[int, float, float], ...]   # (column, lower, upper)
     basis: Basis | None = field(default=None, repr=False)
 
 
@@ -112,15 +115,14 @@ def _branching_variable(x, int_ids, tol):
     Fractionalities within tol of the best count as equal and the lowest id
     among them wins, so last-bit noise in the LP solution cannot decide.
     """
-    ids = np.asarray(int_ids, dtype=int)
-    values = x[ids]
+    values = x[int_ids]
     frac = values - np.floor(values)
     score = np.minimum(frac, 1.0 - frac)
     fractional = score > tol
     if not fractional.any():
         return None
     best = score[fractional].max()
-    return int(ids[fractional & (score >= best - tol)].min())
+    return int(int_ids[fractional & (score >= best - tol)].min())
 
 
 def solve_milp(model: milp.Model, options: SolveOptions | None = None,
@@ -175,8 +177,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
         if obj >= incumbent_obj - _IMPROVEMENT:
             return
         snapped = x.copy()
-        for vid in int_ids:
-            snapped[vid] = round(snapped[vid])
+        snapped[int_ids] = np.round(x[int_ids]) + 0.0     # np.round(-0.3) is -0.0
         for candidate in (snapped, x):
             if offer(presolved.expand(candidate)):
                 return
@@ -202,7 +203,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
     for seed in seeds:
         offer(seed)
 
-    push(_Node(-math.inf, seq, {}))
+    push(_Node(-math.inf, seq, ()))
     seq += 1
     limit_hit = None
 
@@ -219,11 +220,9 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             continue
         nodes += 1
 
-        lower = problem.lower.copy()
-        upper = problem.upper.copy()
-        for vid, (lo, hi) in node.overrides.items():
-            lower[vid] = max(lower[vid], lo)
-            upper[vid] = min(upper[vid], hi)
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        for vid, lo, hi in node.changes:
+            lower[vid], upper[vid] = lo, hi
         res = solve_node(node, lower, upper)
         if res.start_factors is not None:
             node.basis.binv = res.start_factors     # the sibling's start
@@ -247,11 +246,11 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             try_incumbent(res.x, node_obj)
             continue
 
+        # no change loosens an earlier one: the node's own bound on one side,
+        # floor or ceil of a value more than INT_TOL inside the box on the other
         value = res.x[branch_var]
-        floor_side = dict(node.overrides)
-        floor_side[branch_var] = (lower[branch_var], math.floor(value))
-        ceil_side = dict(node.overrides)
-        ceil_side[branch_var] = (math.ceil(value), upper[branch_var])
+        floor_side = node.changes + ((branch_var, lower[branch_var], math.floor(value)),)
+        ceil_side = node.changes + ((branch_var, math.ceil(value), upper[branch_var]),)
 
         # children share the basis but not its final factors: the first
         # child's LP factors it for both.  On equal bounds the child on the

@@ -95,7 +95,8 @@ def cmd_plan(args) -> int:
     (out / "plan.json").write_text(report.plan_to_json(plan, scenario))
     (out / "plan_costs.csv").write_text(report.plan_cost_csv(plan))
     if args.dot:
-        (out / "routes.dot").write_text(report.routes_dot(scenario, plan))
+        (out / "routes.dot").write_text(report.routes_dot(
+            scenario, plan.scout_excursions, plan.carrier_routes))
     print(f"objective {result.objective:.6f} status {result.status} "
           f"nodes {result.nodes}")
     return OK if result.status == "optimal" else LIMIT
@@ -112,9 +113,8 @@ def cmd_simulate(args) -> int:
         report.mission_cost_csv(log, keep_timings=keep))
     if args.dot:
         for step in log.steps:
-            counts = report.scout_visit_counts(scenario, step.excursions)
             (out / f"step{step.index:03d}.dot").write_text(
-                report.routes_dot(scenario, visit_counts=counts))
+                report.routes_dot(scenario, step.excursions))
     print(f"status {log.status} steps {len(log.steps)} "
           f"route-true-cost {log.route_true_cost:.6f}")
     if log.status == "infeasible":
@@ -140,10 +140,8 @@ def cmd_ablate(args) -> int:
             report.mission_to_json(log, scenario,
                                    keep_timings=not args.deterministic))
         if args.dot:
-            counts = report.scout_visit_counts(
-                scenario, [e for s in log.steps for e in s.excursions])
-            (out / f"routes_{variant}.dot").write_text(
-                report.routes_dot(scenario, visit_counts=counts))
+            (out / f"routes_{variant}.dot").write_text(report.routes_dot(
+                scenario, [e for s in log.steps for e in s.excursions]))
         print(f"{variant}: status {log.status} "
               f"route-true-cost {log.route_true_cost:.6f}")
     (out / "ablation.csv").write_text(report.comparison_csv(
@@ -168,13 +166,13 @@ def cmd_sweep_beta(args) -> int:
     totals = []
     for arm in arms:
         log = run_mission(arm, truth, args.options)
-        counts = report.scout_visit_counts(
-            scenario, [e for s in log.steps for e in s.excursions])
+        excursions = [e for s in log.steps for e in s.excursions]
+        counts = report.scout_visit_counts(scenario, excursions)
         for ue in per_edge:
             per_edge[ue].append(counts[ue])
         totals.append(sum(counts.values()))
         (out / f"routes_beta{arm.optimism:g}.dot").write_text(
-            report.routes_dot(scenario, visit_counts=counts))
+            report.routes_dot(scenario, excursions))
         print(f"beta={arm.optimism:g}: status {log.status} scout edge visits "
               f"{sum(counts.values())}")
     rows = [[g.edge_label(ue)] + per_edge[ue] for ue in sorted(per_edge)]

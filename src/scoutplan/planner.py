@@ -103,7 +103,8 @@ def structured_candidate(plan_vars: PlanVars) -> list:
     candidates = []
     for path in _simple_node_paths(g, origin, target):
         hops = len(path) - 1
-        spare = n_t - hops - 2          # stay-steps beyond the mandatory ends
+        # stay-steps beyond the mandatory ends, one end when start is goal
+        spare = n_t - hops - min(len(path), 2)
         if spare < 0:
             continue
         slots = len(path)
@@ -112,8 +113,6 @@ def structured_candidate(plan_vars: PlanVars) -> list:
             stays[0] = stays[-1] = 1
             for slot in combo:
                 stays[slot] += 1
-            if hops == 0:
-                stays = [n_t]
             route = _schedule_route(g, path, stays)
             routes = tuple([route] * scenario.carrier_count)
             variants = [()]

@@ -44,16 +44,16 @@ class Presolved:
     """A relaxation with its fixed and aggregated columns and its redundant
     rows taken out.
 
-    problem ranges over the kept columns only and int_ids index into it; its
-    constant and rhs absorb the fixed and aggregated columns.  values is a
-    full-length point holding every fixed column's value and the constant
-    part of every aggregated column; aggregated (full space × kept columns)
-    holds the rest of each aggregated column, so a reduced point x expands
-    to values + aggregated @ x with x placed at columns.
+    problem ranges over the kept columns only; int_ids, an intp index
+    array, picks its integer columns; its constant and rhs absorb the fixed
+    and aggregated columns.  values is a full-length point holding every
+    fixed column's value and the constant part of every aggregated column;
+    aggregated (full space × kept columns) holds the rest of each, so a
+    reduced point x expands to values + aggregated @ x with x at columns.
     """
 
     problem: LpProblem
-    int_ids: list[int]
+    int_ids: np.ndarray
     columns: np.ndarray         # full-space id of each kept column
     values: np.ndarray
     aggregated: sp.csr_matrix
@@ -261,7 +261,7 @@ def presolve(problem: LpProblem, int_ids) -> Presolved | None:
     bounds = np.concatenate([problem.lower, problem.upper]).astype(float)
     lower, upper = bounds[:n], bounds[n:]
     integer = np.zeros(n, dtype=bool)
-    integer[list(int_ids)] = True
+    integer[np.asarray(int_ids, dtype=np.intp)] = True     # a bare () would mark all
     continuous = ~integer
     whole = integer.nonzero()[0]
     whole_upper = whole + n
@@ -407,5 +407,4 @@ def presolve(problem: LpProblem, int_ids) -> Presolved | None:
                       shape=(len(indptr) - 1, len(columns))),
         problem.senses[active], rhs, lower[columns], upper[columns],
         constant=constant + float(cost @ values))
-    return Presolved(reduced, integer[columns].nonzero()[0].tolist(), columns,
-                     values, aggregated)
+    return Presolved(reduced, integer[columns].nonzero()[0], columns, values, aggregated)

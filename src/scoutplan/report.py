@@ -3,25 +3,30 @@
 Every JSON writer has a matching loader so emitted files round-trip.  Each
 record has one field list, its dataclass's: writer and loader name only
 the fields they convert to labels and back.  The loaders read through
-scenario's _require and _key and reject what the writers would not write:
-top-level keys other than exactly _PLAN_KEYS or _MISSION_KEYS, excursion
-keys other than exactly node, step and walk, an excursion whose node is
-not its walk's first location, a step that is not an object, an unknown
-or missing step key, and a belief that does not name every edge once.
-Totals are sums of the steps and are not read back.  All writers sort keys
-and avoid wall-clock content unless asked to keep it, so deterministic
-runs serialize byte-identically.
+scenario's _require, _key, _integer and _number and reject what the
+writers would not write: top-level keys other than exactly _PLAN_KEYS or
+_MISSION_KEYS, excursion keys other than exactly node, step and walk, an
+excursion whose node is not its walk's first location, a step that is not
+an object, an unknown or missing step key, a belief that does not name
+every edge once, and a number of the wrong type.  Every number is read by
+type: an int field, an excursion or inspection step and a belief age (or
+null) must be integral; any other number may be an int or a float and is
+kept as written, so a float field the writer filled with an int, such as
+a launch increment of 0, writes back as 0.  Totals are sums of the steps
+and are not read back.  All writers sort keys and avoid wall-clock
+content unless asked to keep it, so deterministic runs serialize
+byte-identically.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields
 
 from .executor import BeliefState, MissionLog, MissionStep
 from .formulation import COST_CATEGORIES, Excursion, Plan, StepCost
 from .graphs import EdgeData, Graph
-from .scenario import ParseError, Scenario, _key, _require
+from .scenario import ParseError, Scenario, _integer, _key, _number, _require
 
 _PLAN_KEYS = ("routes", "excursions", "inspections", "steps", "total_cost")
 _MISSION_KEYS = ("status", "route_true_cost", "objective_true_cost", "steps")
@@ -34,11 +39,27 @@ def _exactly(doc, keys: tuple[str, ...], context: str) -> list:
     return [_key(doc, key, context) for key in keys]
 
 
-def _record(cls, fields: dict, context: str):
-    try:
-        return cls(**fields)
-    except TypeError as exc:    # a key the writer would not write, or a missing one
-        raise ParseError(f"{context}: {exc}") from None
+def _float(mapping, key, context: str):
+    """A required number, kept as written: _number's check without its
+    conversion, so an int reads back as an int."""
+    _number(mapping, key, context)
+    return mapping[key]
+
+
+def _record(cls, doc, context: str, **convert):
+    """A cls from doc, whose keys must be exactly cls's fields: a field named
+    in convert is convert[name] of its value, any other is read by its
+    declared type, int or float."""
+    read = {f.name: _integer if f.type == "int" else _float for f in fields(cls)}
+    _require(doc, set(read), context)
+    return cls(**{name: convert[name](_key(doc, name, context)) if name in convert
+                  else read[name](doc, name, context) for name in read})
+
+
+def _edge_pair(g: Graph, entry, read, context: str) -> tuple:
+    """An [edge label, number] entry as (edge id, the number read by read)."""
+    label, _ = entry
+    return g.edge_index(label), read(entry, 1, context)
 
 
 def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
@@ -47,11 +68,11 @@ def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
 
 
 def _excursion_from_dict(g: Graph, doc, context: str) -> Excursion:
-    node, step, walk = _exactly(doc, _EXCURSION_KEYS, context)
+    node, _, walk = _exactly(doc, _EXCURSION_KEYS, context)
     walk = tuple(g.location_index(label) for label in walk)
     if walk[:1] != (g.location_index(node),):
         raise ParseError(f"{context}: node {node!r} is not where its walk begins")
-    return Excursion(int(step), walk)
+    return Excursion(_integer(doc, "step", context), walk)
 
 
 # -- plans ---------------------------------------------------------------------
@@ -75,7 +96,8 @@ def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
         tuple(tuple(g.location_index(label) for label in route) for route in routes),
         tuple(_excursion_from_dict(g, e, f"excursions[{i}]")
               for i, e in enumerate(excursions)),
-        frozenset((g.edge_index(label), int(t)) for label, t in inspections),
+        frozenset(_edge_pair(g, e, _integer, f"inspections[{i}]")
+                  for i, e in enumerate(inspections)),
         tuple(_record(StepCost, s, f"steps[{i}]") for i, s in enumerate(steps)),
     )
 
@@ -101,21 +123,13 @@ def scout_visit_counts(scenario: Scenario, excursions) -> dict[int, int]:
     return counts
 
 
-def routes_dot(scenario: Scenario, plan: Plan | None = None,
-               visit_counts: dict[int, int] | None = None) -> str:
-    """Graphviz rendering: carrier routes in bold, scout-visited edges shaded
-    darker the more sub-steps scouts spent on them."""
+def routes_dot(scenario: Scenario, excursions=(), routes=()) -> str:
+    """Graphviz rendering: the edges of routes in bold, each edge shaded
+    darker the more sub-steps the excursions' scouts spent on it."""
     g = scenario.graph
-    if visit_counts is None:
-        visit_counts = scout_visit_counts(
-            scenario, plan.scout_excursions if plan else ()
-        )
-    carrier_edges = set()
-    if plan:
-        for route in plan.carrier_routes:
-            for loc in route:
-                if not g.is_node(loc):
-                    carrier_edges.add(g.uedge_of_location(loc))
+    visit_counts = scout_visit_counts(scenario, excursions)
+    bold = {g.uedge_of_location(loc) for route in routes for loc in route
+            if not g.is_node(loc)}
     peak = max(visit_counts.values(), default=0)
 
     # as DOT quoted strings, in which a backslash or a double quote would
@@ -125,10 +139,9 @@ def routes_dot(scenario: Scenario, plan: Plan | None = None,
     lines = ["graph team {", "  layout=neato;", "  node [shape=circle];"]
     lines += [f"  {name};" for name in names]
     for ue, (a, b, data) in enumerate(g.uedges):
-        visits = visit_counts.get(ue, 0)
-        shade = 90 - int(round(70 * visits / peak)) if peak else 90
+        shade = 90 - int(round(70 * visit_counts[ue] / peak)) if peak else 90
         attrs = [f'label="{data.weight:g}"', f"color=gray{shade}"]
-        if ue in carrier_edges:
+        if ue in bold:
             attrs.append("penwidth=3")
         lines.append(f'  {names[a]} -- {names[b]} [{", ".join(attrs)}];')
     lines.append("}")
@@ -164,7 +177,7 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
     }
 
 
-def _belief_from_list(g: Graph, entries: list) -> BeliefState:
+def _belief_from_list(g: Graph, entries: list, context: str) -> BeliefState:
     """belief_after read by each entry's edge label; the entries must name
     every edge of the graph exactly once."""
     by_label = {e["edge"]: e for e in entries}
@@ -172,11 +185,14 @@ def _belief_from_list(g: Graph, entries: list) -> BeliefState:
     if len(entries) != len(ordered) or None in ordered:
         raise ParseError(f"belief_after names {[e['edge'] for e in entries]}, "
                          "not every edge of the graph once")
-    return BeliefState(
-        tuple(EdgeData(e["weight"], e["unc_lower"], e["unc_upper"],
-                       g.edge_data(ue).team_discount) for ue, e in enumerate(ordered)),
-        tuple(e["age"] for e in ordered),
-    )
+    edges, ages = [], []
+    for ue, e in enumerate(ordered):
+        where = f"{context}.belief_after[{g.edge_label(ue)}]"
+        edges.append(EdgeData(*(_float(e, key, where)
+                                for key in ("weight", "unc_lower", "unc_upper")),
+                              g.edge_data(ue).team_discount))
+        ages.append(None if _key(e, "age", where) is None else _integer(e, "age", where))
+    return BeliefState(tuple(edges), tuple(ages))
 
 
 def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
@@ -185,19 +201,17 @@ def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
     steps = []
     for i, s in enumerate(docs):
         context = f"steps[{i}]"
-        if not isinstance(s, dict):
-            raise ParseError(f"{context} must be an object")
-        fields = {
-            **s,
-            "positions_after": tuple(g.location_index(label)
-                                     for label in _key(s, "positions_after", context)),
-            "excursions": tuple(_excursion_from_dict(g, e, f"{context}.excursions[{j}]")
-                                for j, e in enumerate(_key(s, "excursions", context))),
-            "observations": tuple((g.edge_index(label), cost)
-                                  for label, cost in _key(s, "observations", context)),
-            "belief_after": _belief_from_list(g, _key(s, "belief_after", context)),
-        }
-        steps.append(_record(MissionStep, fields, context))
+        steps.append(_record(
+            MissionStep, s, context,
+            positions_after=lambda labels: tuple(g.location_index(label)
+                                                 for label in labels),
+            excursions=lambda excs: tuple(
+                _excursion_from_dict(g, e, f"{context}.excursions[{j}]")
+                for j, e in enumerate(excs)),
+            observations=lambda obs: tuple(
+                _edge_pair(g, o, _float, f"{context}.observations[{j}]")
+                for j, o in enumerate(obs)),
+            belief_after=lambda entries: _belief_from_list(g, entries, context)))
     return MissionLog(status, tuple(steps))
 
 

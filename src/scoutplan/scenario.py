@@ -253,8 +253,6 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     nodes = _list(doc, "nodes", "document")
     labels = [_string(nodes, i, "document.nodes") for i in range(len(nodes))]
     index = {lbl: i for i, lbl in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValidationError("duplicate node labels")
     for lbl in labels:
         if "-" in lbl:
             # edge names join two labels with '-', so they must split back
@@ -294,10 +292,8 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
         for i, entry in enumerate(_list(doc, section, "document")):
             context = f"{section}[{i}]"
             _require(entry, {"node", count_key}, context)
-            label = _string(entry, "node", context)
-            if label not in index:
-                raise ValidationError(f"unknown node label {label!r}")
-            out.append((index[label], _integer(entry, count_key, context)))
+            out.append((graph.node_index(_string(entry, "node", context)),
+                        _integer(entry, count_key, context)))
         return tuple(out)
 
     starts = node_locs("starts", "count")

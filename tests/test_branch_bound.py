@@ -209,16 +209,27 @@ class TestDeterminism:
 class TestBranchingVariable:
     def test_ties_within_int_tol_go_to_the_lowest_id(self):
         x = np.array([0.5 + 2e-16, 0.5])
-        assert _branching_variable(x, [0, 1], 1e-6) == 0
+        assert _branching_variable(x, np.array([0, 1]), 1e-6) == 0
 
     def test_most_fractional_wins_beyond_the_tolerance(self):
         x = np.array([0.3, 1.0, 2.5, 0.5 - 1e-4])
-        assert _branching_variable(x, [0, 1, 2, 3], 1e-6) == 2
+        assert _branching_variable(x, np.arange(4), 1e-6) == 2
 
     def test_integral_point_gives_none(self):
         x = np.array([0.0, 1.0 + 1e-9, 0.4])
-        assert _branching_variable(x, [0, 1], 1e-6) is None
-        assert _branching_variable(x, [], 1e-6) is None
+        assert _branching_variable(x, np.array([0, 1]), 1e-6) is None
+        assert _branching_variable(x, np.array([], dtype=np.intp), 1e-6) is None
+
+
+class TestGap:
+    def test_infinite_without_an_incumbent(self):
+        assert MilpResult("unknown", None, None, 12.5, 3).gap == math.inf
+
+    def test_objective_minus_bound_on_a_node_limited_solve(self, ablation_scenario):
+        result = planner.solve_scenario(ablation_scenario[0],
+                                        SolveOptions(node_limit=25)).result
+        assert result.status == "feasible"
+        assert result.gap == result.objective - result.best_bound > 0
 
 
 class TestBoundMonotonicity:
@@ -445,7 +456,7 @@ class TestPresolve:
         ids = {var.name: var.id for var in model.variables}
         presolved = presolve(*model_to_lp(model))
         assert presolved.columns.tolist() == [ids[k] for k in "yuvdqe"]
-        assert presolved.int_ids == [0, 1, 2, 4, 5]
+        assert presolved.int_ids.tolist() == [0, 1, 2, 4, 5]
         # 2u - 3v = 1 is kept as written, and x + y in cap becomes 2y
         assert presolved.problem.rows.toarray().tolist() == [
             [0, 2, -3, 0, 0, 0], [2, 0, 1, 1, 1, 1]]
@@ -469,7 +480,7 @@ class TestPresolve:
         model = fixed_and_free_model()
         presolved = presolve(*model_to_lp(model))
         assert presolved.columns.tolist() == [2, 3]
-        assert presolved.int_ids == [1]
+        assert presolved.int_ids.tolist() == [1]
         assert presolved.problem.rows.shape == (2, 2)
         x = np.array([1.5, 3.0])
         full = presolved.expand(x)
@@ -482,6 +493,20 @@ class TestPresolve:
         assert res.x.tolist()[:2] == [1.0, 0.0]
         assert res.objective == pytest.approx(2.0 - 6.0)
         assert milp.evaluate(model, res.x).feasible
+
+    @pytest.mark.parametrize("delta, value", [(5e-10, 3.00000000025),
+                                              (-5e-7, 2.99999975)])
+    def test_continuous_bounds_that_meet_fix_their_column(self, delta, value):
+        # 1 <= x - y <= 1 + delta with y = 2: x's implied bounds meet within
+        # tolerance, or cross by less than FEAS_TOL, and x is fixed between them
+        m = Model()
+        x = m.add_var(CONTINUOUS, 0, 10, "x")
+        y = m.add_var(CONTINUOUS, 2, 2, "y")
+        m.add_constraint(LinExpr({x: 1.0, y: -1.0}), Sense.GE, 1.0, "above")
+        m.add_constraint(LinExpr({x: 1.0, y: -1.0}), Sense.LE, 1.0 + delta, "below")
+        presolved = presolve(*model_to_lp(m))
+        assert presolved.columns.tolist() == []
+        assert presolved.values[x] == pytest.approx(value, rel=0, abs=1e-15)
 
     def test_infeasible_bound_system_is_reported(self):
         m = Model()
@@ -554,7 +579,7 @@ def presolved_arrays(presolved):
               problem.upper, presolved.columns, presolved.values,
               aggregated.indptr, aggregated.indices, aggregated.data)
     return ([np.asarray(a).tolist() for a in arrays], problem.constant,
-            presolved.int_ids)
+            presolved.int_ids.tolist())
 
 
 class TestImpliedBounds:

@@ -52,6 +52,17 @@ def two_start_path(small_path):
     return path
 
 
+def edited(text: str, path: tuple, value):
+    """The JSON document text, parsed, with the value at path replaced."""
+    doc = json.loads(text)
+    *parents, last = path
+    entry = doc
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    return doc
+
+
 class TestValidate:
     def test_valid_scenario_exits_zero(self, small_path, capsys):
         assert main(["validate", str(small_path)]) == 0
@@ -104,16 +115,21 @@ class TestValidate:
             "number-start"])
     def test_bad_label_or_repeat_exits_two(self, tmp_path, small_path, capsys,
                                            path, value):
-        doc = json.loads(small_path.read_text())
-        *parents, last = path
-        entry = doc
-        for key in parents:
-            entry = entry[key]
-        entry[last] = value
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(edited(small_path.read_text(), path, value)))
         assert main(["plan", str(bad), "-o", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("nodes",), ["0", "1", "2", "3", "3"], "error: duplicate node labels\n"),
+        (("starts", 0, "node"), "z", "error: unknown node label 'z'\n"),
+    ], ids=["duplicate-label", "unknown-start"])
+    def test_label_errors_name_the_label(self, tmp_path, small_path, capsys,
+                                         path, value, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edited(small_path.read_text(), path, value)))
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("name, message", [
         ("absent.json", "error: no such file: "), ("", "error: "),
@@ -251,6 +267,20 @@ class TestSimulate:
         bare.write_text(json.dumps(doc))
         assert main(["simulate", str(bare), "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("command, written", [
+        ("simulate", "mission.json"), ("ablate", "mission_full.json")])
+    def test_unreachable_goal_exits_three_and_writes_the_mission(
+            self, small_path, tmp_path, command, written):
+        doc = json.loads(small_path.read_text())
+        doc["horizon"]["n_T"] = 2      # two hops cannot fit
+        doc["ground_truth"] = {edge: trace[:2]
+                               for edge, trace in doc["ground_truth"].items()}
+        bad = tmp_path / "short.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([command, str(bad), "-o", str(out)]) == 3
+        assert json.loads((out / written).read_text())["status"] == "infeasible"
+
     def test_solver_limit_mission_exits_four(self, two_start_path, tmp_path):
         out = tmp_path / "o"
         assert main(["simulate", str(two_start_path), "-o", str(out),
@@ -332,6 +362,55 @@ class TestMissionLoader:
         with pytest.raises(ParseError, match=rf"steps\[0\]: missing key '{key}'"):
             report.mission_from_dict(doc, scenario)
 
+    @pytest.fixture(scope="class")
+    def scouted(self, ablation_scenario):
+        """The bundled scenario's mission at node limit 5, whose first step
+        flies scouts and observes edges."""
+        scenario, truth = ablation_scenario
+        log = run_mission(scenario, truth, SolveOptions(node_limit=5))
+        return scenario, json.dumps(report.mission_to_dict(log, scenario))
+
+    @pytest.mark.parametrize("key, value", [
+        ("index", "1"), ("index", 1.5), ("model_variables", 2.5),
+        ("model_variables", None)])
+    def test_step_counts_are_integers(self, scouted, key, value):
+        scenario, text = scouted
+        with pytest.raises(ParseError, match=rf"steps\[0\]\.{key} must be"):
+            report.mission_from_dict(edited(text, ("steps", 0, key), value), scenario)
+
+    @pytest.mark.parametrize("key", [
+        "solve_seconds", "planned_objective", "route_true_increment",
+        "scout_true_increment", "teaming_increment", "launch_increment"])
+    def test_step_costs_are_numbers(self, scouted, key):
+        scenario, text = scouted
+        with pytest.raises(ParseError, match=rf"steps\[0\]\.{key} must be a number"):
+            report.mission_from_dict(edited(text, ("steps", 0, key), "x"), scenario)
+
+    @pytest.mark.parametrize("value", ["c", None, True])
+    def test_observation_cost_is_a_number(self, scouted, value):
+        scenario, text = scouted
+        doc = edited(text, ("steps", 0, "observations", 0, 1), value)
+        with pytest.raises(ParseError, match=r"steps\[0\]\.observations\[0\]\.1"):
+            report.mission_from_dict(doc, scenario)
+
+    @pytest.mark.parametrize("key, value", [
+        ("weight", "w"), ("unc_lower", None), ("unc_upper", "1"), ("age", 1.5),
+        ("age", "0")])
+    def test_belief_entries_are_read_by_type(self, scouted, key, value):
+        scenario, text = scouted
+        entry = next(i for i, e in enumerate(json.loads(text)["steps"][0]["belief_after"])
+                     if e["age"] is not None)
+        doc = edited(text, ("steps", 0, "belief_after", entry, key), value)
+        label = doc["steps"][0]["belief_after"][entry]["edge"]
+        with pytest.raises(ParseError,
+                           match=rf"steps\[0\]\.belief_after\[{label}\]\.{key}"):
+            report.mission_from_dict(doc, scenario)
+
+    def test_scouted_mission_writes_back_as_read(self, scouted):
+        scenario, text = scouted
+        log = report.mission_from_dict(json.loads(text), scenario)
+        assert json.dumps(report.mission_to_dict(log, scenario)) == text
+
 
 class TestPlanLoader:
     @pytest.fixture(scope="class")
@@ -396,6 +475,28 @@ class TestPlanLoader:
             report.plan_from_dict(doc, scenario)
 
 
+    @pytest.mark.parametrize("value", [1.7, "1", None])
+    def test_excursion_step_is_an_integer(self, plan, value):
+        scenario, _, text = plan
+        with pytest.raises(ParseError, match=r"excursions\[0\]\.step must be"):
+            report.plan_from_dict(edited(text, ("excursions", 0, "step"), value),
+                                  scenario)
+
+    @pytest.mark.parametrize("value", [1.5, "1", True])
+    def test_inspection_step_is_an_integer(self, plan, value):
+        scenario, _, text = plan
+        with pytest.raises(ParseError, match=r"inspections\[0\]\.1 must be"):
+            report.plan_from_dict(edited(text, ("inspections", 0, 1), value), scenario)
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", 1.5), ("time_cost", "3"), ("traversal_cost", None),
+        ("uncertainty_cost", True), ("launch_cost", [1.0])])
+    def test_step_costs_are_read_by_type(self, plan, key, value):
+        scenario, _, text = plan
+        with pytest.raises(ParseError, match=rf"steps\[0\]\.{key} must be"):
+            report.plan_from_dict(edited(text, ("steps", 0, key), value), scenario)
+
+
 class TestAblateAndSweep:
     def test_ablate_writes_table(self, small_path, tmp_path):
         out = tmp_path / "abl"
@@ -407,8 +508,9 @@ class TestAblateAndSweep:
     def test_single_variant(self, small_path, tmp_path):
         out = tmp_path / "one"
         assert main(["ablate", str(small_path), "-o", str(out),
-                     "--variant", "weights"]) == 0
+                     "--variant", "weights", "--dot"]) == 0
         assert (out / "mission_weights.json").exists()
+        assert (out / "routes_weights.dot").read_text().startswith("graph team {")
 
     def test_sweep_beta_outputs(self, small_path, tmp_path):
         out = tmp_path / "sweep"
@@ -418,6 +520,16 @@ class TestAblateAndSweep:
         assert table[0] == "edge,beta=0,beta=0.3"
         assert table[-1].startswith("total,")
         assert (out / "routes_beta0.dot").exists()
+
+    @pytest.mark.parametrize("betas", ["0,x", "0,0.6"])
+    def test_bad_beta_list_exits_two_before_writing(self, small_path, tmp_path,
+                                                    capsys, betas):
+        out = tmp_path / "sweep"
+        assert main(["sweep-beta", str(small_path), "-o", str(out),
+                     "--beta", betas]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_sweep_single_beta_matches_simulate(self, small_path, tmp_path):
         scenario, truth = load_scenario(small_path.read_text())
@@ -436,13 +548,33 @@ class TestDot:
     def test_dot_shades_visited_edges(self, small_path):
         scenario, truth = load_scenario(small_path.read_text())
         log = run_mission(scenario, truth)
-        counts = report.scout_visit_counts(
-            scenario, [e for s in log.steps for e in s.excursions])
-        dot = report.routes_dot(scenario, visit_counts=counts)
+        excursions = [e for s in log.steps for e in s.excursions]
+        counts = report.scout_visit_counts(scenario, excursions)
+        dot = report.routes_dot(scenario, excursions)
         assert dot.startswith("graph team {")
         assert "--" in dot
         if any(counts.values()):
             assert "color=gray20" in dot or "color=gray" in dot
+
+    def test_plan_dot_draws_its_routes_bold_and_shades_scout_visits(
+            self, ablation_path, tmp_path):
+        out = tmp_path / "o"
+        assert main(["plan", str(ablation_path), "-o", str(out), "--nodes-limit", "25",
+                     "--dot"]) == 4
+        scenario, _ = load_scenario(ablation_path.read_text())
+        g = scenario.graph
+        plan = report.plan_from_dict(json.loads((out / "plan.json").read_text()),
+                                     scenario)
+        routed = {g.uedge_of_location(loc) for route in plan.carrier_routes
+                  for loc in route if not g.is_node(loc)}
+        visits = report.scout_visit_counts(scenario, plan.scout_excursions)
+        peak = max(visits.values())
+        edges = (out / "routes.dot").read_text().splitlines()[3 + g.n_nodes:-1]
+        assert routed and peak > 0
+        assert [ue for ue, line in enumerate(edges) if "penwidth=3" in line] == sorted(
+            routed)
+        assert [ue for ue, line in enumerate(edges) if "color=gray20" in line] == [
+            ue for ue, count in visits.items() if count == peak]
 
     def test_labels_with_quotes_and_backslashes_are_escaped(self):
         g = Graph(['a"x', "b\\"], [(0, 1, EdgeData(5.0, 1.0, 1.0, 1.0))])

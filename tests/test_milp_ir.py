@@ -187,6 +187,15 @@ class TestMps:
         text = milp.export_mps(tiny_model())
         assert "'INTORG'" in text and "'INTEND'" in text
 
+    def test_fixed_and_free_below_bound_lines(self):
+        m = Model(name="fx_mi")
+        x = m.add_var(CONTINUOUS, 2.5, 2.5, "x")
+        y = m.add_var(CONTINUOUS, -math.inf, 4, "y")
+        m.objective = LinExpr({x: 1.0, y: -1.0})
+        assert milp.export_mps(m).split("\nBOUNDS\n")[1].splitlines() == [
+            " FX BND       x0        2.5", " MI BND       x1",
+            " UP BND       x1        4", "ENDATA"]
+
     def test_single_variable_model(self):
         m = Model(name="one")
         x = m.add_var(CONTINUOUS, 0, 4, "x")

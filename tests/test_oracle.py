@@ -273,3 +273,12 @@ class TestPlanToAssignment:
             assert check.feasible, check.violations
             _, total = evaluate_plan_cost(sc, extract_plan(x, pv))
             assert check.objective == pytest.approx(total, abs=1e-9)
+
+    @pytest.mark.parametrize("scouts", [0, 1])
+    def test_start_at_the_goal_is_one_wait(self, scouts):
+        sc = two_node_scenario(carrier_count=2, scout_count=scouts, scout_steps=4,
+                               starts=((0, 2),), goals=((0, 1),))
+        model, pv = build_model(sc)
+        [x] = structured_candidate(pv)
+        assert milp.evaluate(model, x).feasible
+        assert extract_plan(x, pv).carrier_routes == ((0, 0, 0),) * 2
