@@ -17,7 +17,6 @@ from .formulation import (
     Plan,
     PlanVars,
     StepCost,
-    aggregate_counts,
     build_model,
     compact_variable_count,
     decay_coefficients,

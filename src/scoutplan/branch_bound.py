@@ -171,11 +171,9 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             incumbent_obj = check.objective
         return check.feasible
 
-    def try_incumbent(x, obj):
+    def try_incumbent(x):
         """Offer a reduced-space point to the gate: its integers snapped
         first, the point as is only when the snapped one is infeasible."""
-        if obj >= incumbent_obj - _IMPROVEMENT:
-            return
         snapped = x.copy()
         snapped[int_ids] = np.round(x[int_ids]) + 0.0     # np.round(-0.3) is -0.0
         for candidate in (snapped, x):
@@ -243,7 +241,7 @@ def solve_milp(model: milp.Model, options: SolveOptions | None = None,
             continue
         branch_var = _branching_variable(res.x, int_ids, milp.INT_TOL)
         if branch_var is None:
-            try_incumbent(res.x, node_obj)
+            try_incumbent(res.x)
             continue
 
         # no change loosens an earlier one: the node's own bound on one side,

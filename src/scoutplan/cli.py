@@ -2,6 +2,9 @@
 optimism sweeps and format exports.
 
 Exit codes: 0 ok, 2 invalid input, 3 infeasible, 4 solver limit reached.
+simulate, ablate and sweep-beta write every file first and then exit 3 when
+any of their missions went infeasible, else 4 when any stopped at the solver
+limit.
 Invalid input that argparse accepts is raised as one exception, _Invalid,
 or, for a scenario whose model would exceed the variable limit, as the
 ValidationError of build_model; main alone prints either message as
@@ -54,6 +57,17 @@ def _outdir(args) -> Path:
     except OSError as exc:
         raise _Invalid(f"output directory {out}: {exc}") from None
     return out
+
+
+def _mission_exit(logs) -> int:
+    """INFEASIBLE when any mission is infeasible, else LIMIT when any stopped
+    at the solver limit, else OK."""
+    statuses = {log.status for log in logs}
+    if "infeasible" in statuses:
+        return INFEASIBLE
+    if "solver-limit" in statuses:
+        return LIMIT
+    return OK
 
 
 def cmd_validate(args) -> int:
@@ -117,11 +131,7 @@ def cmd_simulate(args) -> int:
                 report.routes_dot(scenario, step.excursions))
     print(f"status {log.status} steps {len(log.steps)} "
           f"route-true-cost {log.route_true_cost:.6f}")
-    if log.status == "infeasible":
-        return INFEASIBLE
-    if log.status == "solver-limit":
-        return LIMIT
-    return OK
+    return _mission_exit([log])
 
 
 def cmd_ablate(args) -> int:
@@ -146,9 +156,7 @@ def cmd_ablate(args) -> int:
               f"route-true-cost {log.route_true_cost:.6f}")
     (out / "ablation.csv").write_text(report.comparison_csv(
         ["variant", "status", "route_true_cost", "objective_true_cost"], rows))
-    if any(log.status == "infeasible" for log in logs.values()):
-        return INFEASIBLE
-    return OK
+    return _mission_exit(logs.values())
 
 
 def cmd_sweep_beta(args) -> int:
@@ -163,9 +171,10 @@ def cmd_sweep_beta(args) -> int:
     g = scenario.graph
     header = ["edge"] + [f"beta={arm.optimism:g}" for arm in arms]
     per_edge = {ue: [] for ue in range(len(g.uedges))}
-    totals = []
+    totals, logs = [], []
     for arm in arms:
         log = run_mission(arm, truth, args.options)
+        logs.append(log)
         excursions = [e for s in log.steps for e in s.excursions]
         counts = report.scout_visit_counts(scenario, excursions)
         for ue in per_edge:
@@ -178,7 +187,7 @@ def cmd_sweep_beta(args) -> int:
     rows = [[g.edge_label(ue)] + per_edge[ue] for ue in sorted(per_edge)]
     rows.append(["total"] + totals)
     (out / "beta_sweep.csv").write_text(report.comparison_csv(header, rows))
-    return OK
+    return _mission_exit(logs)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ unless the scenario's inspection_decay is off (the scouts-nodecay arm).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .branch_bound import SolveOptions
@@ -102,11 +103,8 @@ class MissionLog:
         )
 
 
-def _goals_met(scenario: Scenario, positions) -> bool:
-    counts = {}
-    for loc in positions:
-        counts[loc] = counts.get(loc, 0) + 1
-    return all(counts.get(loc, 0) >= need for loc, need in scenario.goals)
+def _goals_met(scenario: Scenario, counts: Counter) -> bool:
+    return all(counts[loc] >= need for loc, need in scenario.goals)
 
 
 def run_mission(scenario: Scenario, truth: GroundTruth,
@@ -121,23 +119,20 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
     g = scenario.graph
 
     belief = BeliefState.initial(g)
-    positions = tuple(expand_starts(scenario))
+    counts = Counter(expand_starts(scenario))       # carriers per location
     steps: list[MissionStep] = []
     status = "exhausted"
     tail = None         # previous plan, shifted one step: keeps re-solves coherent
 
     for now in range(1, scenario.horizon):
-        if _goals_met(scenario, positions):
+        if _goals_met(scenario, counts):
             status = "completed"
             break
 
-        start_counts: dict[int, int] = {}
-        for loc in positions:
-            start_counts[loc] = start_counts.get(loc, 0) + 1
         graph = Graph(list(g.node_labels),
                       [(a, b, data) for (a, b, _), data in zip(g.uedges, belief.edges)])
         current = replace(scenario, graph=graph,
-                          starts=tuple(sorted(start_counts.items())),
+                          starts=tuple(sorted(counts.items())),
                           horizon=scenario.horizon - now + 1)
         t0 = time.monotonic()
         outcome = solve_scenario(current, solver, seed_plan=tail)
@@ -197,9 +192,9 @@ def run_mission(scenario: Scenario, truth: GroundTruth,
             teaming_increment=teaming,
             launch_increment=launch,
         ))
-        positions = new_positions
+        counts = Counter(new_positions)
 
-    if status == "exhausted" and _goals_met(scenario, positions):
+    if status == "exhausted" and _goals_met(scenario, counts):
         status = "completed"
 
     return MissionLog(status, tuple(steps))

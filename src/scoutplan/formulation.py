@@ -29,6 +29,7 @@ build_model and extract_plan are pure functions of their inputs.
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -470,23 +471,19 @@ def expand_starts(scenario: Scenario) -> list[int]:
     return out
 
 
-def _decompose(counts_at, start_positions, steps, successors, context):
-    """Split aggregate location counts into unit walks, smallest successor first."""
-    routes = [[loc] for loc in start_positions]
-    for t in steps:
-        remaining = dict(counts_at(t))
-        for route in routes:
-            for succ in successors[route[-1]]:
-                if remaining.get(succ, 0) > 0:
-                    remaining[succ] -= 1
-                    route.append(succ)
-                    break
-            else:
-                raise AssertionError(
-                    f"flow decomposition failed at {context} step {t}: "
-                    "solution counts are not a valid flow"
-                )
-    return [tuple(route) for route in routes]
+def _follow(starts, steps, values_at, choose):
+    """Walks from starts, one location per step: at each step every walk in
+    turn moves to the location choose(walk, remaining, step) picks, and that
+    location's entry in remaining, values_at(step) as taken so far, drops by
+    one."""
+    walks = [[loc] for loc in starts]
+    for step in steps:
+        remaining = values_at(step)
+        for walk in walks:
+            loc = choose(walk, remaining, step)
+            remaining[loc] -= 1
+            walk.append(loc)
+    return [tuple(walk) for walk in walks]
 
 
 def extract_plan(solution, plan_vars: PlanVars) -> Plan:
@@ -503,13 +500,21 @@ def extract_plan(solution, plan_vars: PlanVars) -> Plan:
             return 0
         return int(round(solution[mapping[key]]))
 
-    routes = _decompose(
+    def first_with_unit(context):
+        """The smallest successor with a unit left."""
+        def choose(walk, remaining, step):
+            for succ in g.successors[walk[-1]]:
+                if remaining[succ] > 0:
+                    return succ
+            raise AssertionError(
+                f"flow decomposition failed at {context} step {step}: "
+                "solution counts are not a valid flow")
+        return choose
+
+    routes = _follow(
+        expand_starts(scenario), range(2, n_t + 1),
         lambda t: {loc: count("carrier_at", (loc, t)) for loc in range(g.n_locations)},
-        expand_starts(scenario),
-        range(2, n_t + 1),
-        g.successors,
-        "carriers",
-    )
+        first_with_unit("carriers"))
 
     excursions = []
     for t in range(1, n_t):
@@ -518,13 +523,10 @@ def extract_plan(solution, plan_vars: PlanVars) -> Plan:
             deployments.extend([v] * count("deployed", (v, t)))
         if not deployments:
             continue
-        walks = _decompose(
+        walks = _follow(
+            deployments, range(2, n_tau + 1),
             lambda s: {loc: count("scout_at", (loc, s, t)) for loc in range(g.n_locations)},
-            deployments,
-            range(2, n_tau + 1),
-            g.successors,
-            f"scouts of carrier step {t}",
-        )
+            first_with_unit(f"scouts of carrier step {t}"))
         excursions.extend(Excursion(t, walk) for walk in walks)
 
     inspections = frozenset(
@@ -551,13 +553,10 @@ def plan_to_assignment(carrier_routes, scout_excursions, plan_vars: PlanVars):
     for route in carrier_routes:
         for t, loc in enumerate(route, start=1):
             x[pv.carrier_at[(loc, t)]] += 1
-    deployments: dict[tuple[int, int], int] = {}
     for exc in scout_excursions:
-        deployments[(exc.node, exc.step)] = deployments.get((exc.node, exc.step), 0) + 1
+        x[pv.deployed[(exc.node, exc.step)]] += 1
         for s, loc in enumerate(exc.walk, start=1):
             x[pv.scout_at[(loc, s, exc.step)]] += 1
-    for (v, t), count in deployments.items():
-        x[pv.deployed[(v, t)]] = count
 
     # flags read only counts, ratios read flags, slacks read both; bincount
     # sums each ratio's credits in the recorded order
@@ -581,26 +580,26 @@ def heuristic_plan_from_relaxation(x, plan_vars: PlanVars):
     g = scenario.graph
     n_t, n_tau = scenario.horizon, scenario.scout_steps
 
-    routes = [[loc] for loc in expand_starts(scenario)]
-    for t in range(2, n_t + 1):
-        remaining = {
-            loc: x[pv.carrier_at[(loc, t)]] for loc in range(g.n_locations)
-        }
-        for route in routes:
-            succ = max(g.successors[route[-1]],
-                       key=lambda s: (remaining.get(s, 0.0), -s))
-            remaining[succ] = remaining.get(succ, 0.0) - 1.0
-            route.append(succ)
+    def most_mass(options, remaining):
+        return max(options, key=lambda c: (remaining[c], -c))
+
+    routes = _follow(
+        expand_starts(scenario), range(2, n_t + 1),
+        lambda t: {loc: x[pv.carrier_at[(loc, t)]] for loc in range(g.n_locations)},
+        lambda walk, remaining, t: most_mass(g.successors[walk[-1]], remaining))
 
     excursions = []
     if scenario.scout_count:
         hops_back = _steps_to_node(g)
+
+        def scout_step(walk, remaining, s):
+            # only step where the launch node stays reachable
+            return most_mass([c for c in g.successors[walk[-1]]
+                              if hops_back[walk[0]][c] <= n_tau - s], remaining)
+
         for t in range(1, n_t):
-            present: dict[int, int] = {}
-            for route in routes:
-                loc = route[t - 1]
-                if g.is_node(loc):
-                    present[loc] = present.get(loc, 0) + 1
+            present = Counter(route[t - 1] for route in routes
+                              if g.is_node(route[t - 1]))
             budget = scenario.scout_count
             for v in sorted(present, key=lambda v: -x[pv.deployed[(v, t)]]):
                 # half a scout or less stays aboard, so that a relaxation
@@ -611,29 +610,17 @@ def heuristic_plan_from_relaxation(x, plan_vars: PlanVars):
                 if count <= 0:
                     continue
                 budget -= count
-                remaining = {
-                    (loc, s): x[pv.scout_at[(loc, s, t)]]
-                    for loc in range(g.n_locations)
-                    for s in range(1, n_tau + 1)
-                }
-                for _ in range(count):
-                    walk = [v]
-                    for s in range(2, n_tau + 1):
-                        # only step where the launch node stays reachable
-                        options = [c for c in g.successors[walk[-1]]
-                                   if hops_back[v][c] <= n_tau - s]
-                        succ = max(options,
-                                   key=lambda c: (remaining.get((c, s), 0.0), -c))
-                        remaining[(succ, s)] = remaining.get((succ, s), 0.0) - 1.0
-                        walk.append(succ)
-                    excursions.append(Excursion(t, tuple(walk)))
-    return [tuple(r) for r in routes], tuple(excursions)
+                walks = _follow(
+                    [v] * count, range(2, n_tau + 1),
+                    lambda s: {loc: x[pv.scout_at[(loc, s, t)]]
+                               for loc in range(g.n_locations)},
+                    scout_step)
+                excursions.extend(Excursion(t, walk) for walk in walks)
+    return routes, tuple(excursions)
 
 
 def _steps_to_node(g):
     """hops[v][loc]: moves needed to stand on node v starting from loc."""
-    from collections import deque
-
     predecessors = [[] for _ in range(g.n_locations)]
     for loc in range(g.n_locations):
         for succ in g.successors[loc]:
@@ -651,17 +638,3 @@ def _steps_to_node(g):
                     queue.append(pred)
         hops[v] = dist
     return hops
-
-
-def aggregate_counts(plan: Plan, scenario: Scenario):
-    """Re-aggregate a plan into carrier/scout location counts (test support)."""
-    carrier = {}
-    for route in plan.carrier_routes:
-        for t, loc in enumerate(route, start=1):
-            carrier[(loc, t)] = carrier.get((loc, t), 0) + 1
-    scout = {}
-    for exc in plan.scout_excursions:
-        for s, loc in enumerate(exc.walk, start=1):
-            key = (loc, s, exc.step)
-            scout[key] = scout.get(key, 0) + 1
-    return carrier, scout

@@ -71,6 +71,10 @@ class Graph:
         self._node_index = {label: v for v, label in enumerate(self.node_labels)}
         if len(self._node_index) != self.n_nodes:
             raise ValidationError("duplicate node labels")
+        for label in self.node_labels:
+            if "-" in label:
+                # edge names join two labels with '-', so they must split back
+                raise ValidationError(f"node label {label!r} contains '-'")
 
         seen: set[tuple[int, int]] = set()
         canon = []

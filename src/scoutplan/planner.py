@@ -44,14 +44,17 @@ class PlanningOutcome:
 PATH_CAP = 60       # the shortest simple paths that structured_candidate schedules
 
 
-def _simple_node_paths(graph, origin, target):
-    """The PATH_CAP shortest simple node paths origin -> target."""
+def _simple_node_paths(graph, origin, target, max_hops):
+    """The PATH_CAP shortest simple node paths origin -> target of at most
+    max_hops edges; longer paths are cut off as the search reaches them."""
     paths = []
     stack = [(origin, (origin,))]
     while stack:
         node, path = stack.pop()
         if node == target:
             paths.append(path)
+            continue
+        if len(path) > max_hops:
             continue
         for succ_loc in graph.successors[node]:
             if graph.is_node(succ_loc):
@@ -101,12 +104,11 @@ def structured_candidate(plan_vars: PlanVars) -> list:
     origin, target = scenario.starts[0][0], scenario.goals[0][0]
 
     candidates = []
-    for path in _simple_node_paths(g, origin, target):
+    # a route of h hops spends at least h + 2 steps: h on edges, one at each end
+    for path in _simple_node_paths(g, origin, target, n_t - 2):
         hops = len(path) - 1
         # stay-steps beyond the mandatory ends, one end when start is goal
         spare = n_t - hops - min(len(path), 2)
-        if spare < 0:
-            continue
         slots = len(path)
         for combo in itertools.combinations_with_replacement(range(slots), spare):
             stays = [0] * slots

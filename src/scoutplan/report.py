@@ -3,19 +3,22 @@
 Every JSON writer has a matching loader so emitted files round-trip.  Each
 record has one field list, its dataclass's: writer and loader name only
 the fields they convert to labels and back.  The loaders read through
-scenario's _require, _key, _integer and _number and reject what the
-writers would not write: top-level keys other than exactly _PLAN_KEYS or
-_MISSION_KEYS, excursion keys other than exactly node, step and walk, an
-excursion whose node is not its walk's first location, a step that is not
-an object, an unknown or missing step key, a belief that does not name
-every edge once, and a number of the wrong type.  Every number is read by
+scenario's _require, _key, _list, _string, _integer and _number and reject
+what the writers would not write, each with a ParseError that names the
+field: top-level keys other than exactly _PLAN_KEYS or _MISSION_KEYS,
+excursion keys other than exactly node, step and walk, belief entry keys
+other than exactly _BELIEF_KEYS, an excursion whose node is not its walk's
+first location, a step or entry that is not an object, an unknown or
+missing step key, a belief that does not name every edge once, and a value
+of the wrong type.  Every list field must be a list, every label (a
+location, an edge, a status) a string, and every inspection and
+observation a two-item [edge label, number] list.  Every number is read by
 type: an int field, an excursion or inspection step and a belief age (or
 null) must be integral; any other number may be an int or a float and is
-kept as written, so a float field the writer filled with an int, such as
-a launch increment of 0, writes back as 0.  Totals are sums of the steps
-and are not read back.  All writers sort keys and avoid wall-clock
-content unless asked to keep it, so deterministic runs serialize
-byte-identically.
+kept as written, so a float field the writer filled with an int, such as a
+launch increment of 0, writes back as 0.  Totals are sums of the steps and
+are not read back.  All writers sort keys and avoid wall-clock content
+unless asked to keep it, so deterministic runs serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -26,17 +29,20 @@ from dataclasses import asdict, astuple, fields
 from .executor import BeliefState, MissionLog, MissionStep
 from .formulation import COST_CATEGORIES, Excursion, Plan, StepCost
 from .graphs import EdgeData, Graph
-from .scenario import ParseError, Scenario, _integer, _key, _number, _require
+from .scenario import (ParseError, Scenario, _integer, _key, _list, _number, _require,
+                       _string)
 
 _PLAN_KEYS = ("routes", "excursions", "inspections", "steps", "total_cost")
 _MISSION_KEYS = ("status", "route_true_cost", "objective_true_cost", "steps")
 _EXCURSION_KEYS = ("node", "step", "walk")
+_BELIEF_KEYS = ("edge", "weight", "unc_lower", "unc_upper", "age")
 
 
-def _exactly(doc, keys: tuple[str, ...], context: str) -> list:
-    """doc's values for keys, which must be exactly doc's keys."""
+def _exactly(doc, keys: tuple[str, ...], context: str) -> None:
+    """Check that keys are exactly doc's keys."""
     _require(doc, set(keys), context)
-    return [_key(doc, key, context) for key in keys]
+    for key in keys:
+        _key(doc, key, context)
 
 
 def _float(mapping, key, context: str):
@@ -48,18 +54,26 @@ def _float(mapping, key, context: str):
 
 def _record(cls, doc, context: str, **convert):
     """A cls from doc, whose keys must be exactly cls's fields: a field named
-    in convert is convert[name] of its value, any other is read by its
-    declared type, int or float."""
+    in convert is read by convert[name], any other by its declared type, int
+    or float; every reader is called as reader(doc, name, context)."""
     read = {f.name: _integer if f.type == "int" else _float for f in fields(cls)}
     _require(doc, set(read), context)
-    return cls(**{name: convert[name](_key(doc, name, context)) if name in convert
-                  else read[name](doc, name, context) for name in read})
+    read.update(convert)
+    return cls(**{name: reader(doc, name, context) for name, reader in read.items()})
+
+
+def _locations(g: Graph, mapping, key, context: str) -> tuple[int, ...]:
+    """mapping[key], a list of location labels, as location ids."""
+    labels = _list(mapping, key, context)
+    return tuple(g.location_index(_string(labels, i, f"{context}.{key}"))
+                 for i in range(len(labels)))
 
 
 def _edge_pair(g: Graph, entry, read, context: str) -> tuple:
     """An [edge label, number] entry as (edge id, the number read by read)."""
-    label, _ = entry
-    return g.edge_index(label), read(entry, 1, context)
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ParseError(f"{context} must be an [edge, number] pair, got {entry!r}")
+    return g.edge_index(_string(entry, 0, context)), read(entry, 1, context)
 
 
 def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
@@ -68,8 +82,9 @@ def _excursion_to_dict(g: Graph, exc: Excursion) -> dict:
 
 
 def _excursion_from_dict(g: Graph, doc, context: str) -> Excursion:
-    node, _, walk = _exactly(doc, _EXCURSION_KEYS, context)
-    walk = tuple(g.location_index(label) for label in walk)
+    _exactly(doc, _EXCURSION_KEYS, context)
+    node = _string(doc, "node", context)
+    walk = _locations(g, doc, "walk", context)
     if walk[:1] != (g.location_index(node),):
         raise ParseError(f"{context}: node {node!r} is not where its walk begins")
     return Excursion(_integer(doc, "step", context), walk)
@@ -91,14 +106,16 @@ def plan_to_dict(plan: Plan, scenario: Scenario) -> dict:
 
 def plan_from_dict(doc: dict, scenario: Scenario) -> Plan:
     g = scenario.graph
-    routes, excursions, inspections, steps, _ = _exactly(doc, _PLAN_KEYS, "document")
+    _exactly(doc, _PLAN_KEYS, "document")
+    routes = _list(doc, "routes", "document")
     return Plan(
-        tuple(tuple(g.location_index(label) for label in route) for route in routes),
+        tuple(_locations(g, routes, i, "document.routes") for i in range(len(routes))),
         tuple(_excursion_from_dict(g, e, f"excursions[{i}]")
-              for i, e in enumerate(excursions)),
+              for i, e in enumerate(_list(doc, "excursions", "document"))),
         frozenset(_edge_pair(g, e, _integer, f"inspections[{i}]")
-                  for i, e in enumerate(inspections)),
-        tuple(_record(StepCost, s, f"steps[{i}]") for i, s in enumerate(steps)),
+                  for i, e in enumerate(_list(doc, "inspections", "document"))),
+        tuple(_record(StepCost, s, f"steps[{i}]")
+              for i, s in enumerate(_list(doc, "steps", "document"))),
     )
 
 
@@ -180,10 +197,14 @@ def mission_to_dict(log: MissionLog, scenario: Scenario,
 def _belief_from_list(g: Graph, entries: list, context: str) -> BeliefState:
     """belief_after read by each entry's edge label; the entries must name
     every edge of the graph exactly once."""
-    by_label = {e["edge"]: e for e in entries}
+    labels = []
+    for j, e in enumerate(entries):
+        _exactly(e, _BELIEF_KEYS, f"{context}.belief_after[{j}]")
+        labels.append(_string(e, "edge", f"{context}.belief_after[{j}]"))
+    by_label = dict(zip(labels, entries))
     ordered = [by_label.get(g.edge_label(ue)) for ue in range(len(g.uedges))]
     if len(entries) != len(ordered) or None in ordered:
-        raise ParseError(f"belief_after names {[e['edge'] for e in entries]}, "
+        raise ParseError(f"{context}.belief_after names {labels}, "
                          "not every edge of the graph once")
     edges, ages = [], []
     for ue, e in enumerate(ordered):
@@ -191,28 +212,28 @@ def _belief_from_list(g: Graph, entries: list, context: str) -> BeliefState:
         edges.append(EdgeData(*(_float(e, key, where)
                                 for key in ("weight", "unc_lower", "unc_upper")),
                               g.edge_data(ue).team_discount))
-        ages.append(None if _key(e, "age", where) is None else _integer(e, "age", where))
+        ages.append(None if e["age"] is None else _integer(e, "age", where))
     return BeliefState(tuple(edges), tuple(ages))
 
 
 def mission_from_dict(doc: dict, scenario: Scenario) -> MissionLog:
     g = scenario.graph
-    status, _, _, docs = _exactly(doc, _MISSION_KEYS, "document")
+    _exactly(doc, _MISSION_KEYS, "document")
     steps = []
-    for i, s in enumerate(docs):
+    for i, s in enumerate(_list(doc, "steps", "document")):
         context = f"steps[{i}]"
         steps.append(_record(
             MissionStep, s, context,
-            positions_after=lambda labels: tuple(g.location_index(label)
-                                                 for label in labels),
-            excursions=lambda excs: tuple(
-                _excursion_from_dict(g, e, f"{context}.excursions[{j}]")
-                for j, e in enumerate(excs)),
-            observations=lambda obs: tuple(
-                _edge_pair(g, o, _float, f"{context}.observations[{j}]")
-                for j, o in enumerate(obs)),
-            belief_after=lambda entries: _belief_from_list(g, entries, context)))
-    return MissionLog(status, tuple(steps))
+            positions_after=lambda step, key, where: _locations(g, step, key, where),
+            excursions=lambda step, key, where: tuple(
+                _excursion_from_dict(g, e, f"{where}.{key}[{j}]")
+                for j, e in enumerate(_list(step, key, where))),
+            observations=lambda step, key, where: tuple(
+                _edge_pair(g, o, _float, f"{where}.{key}[{j}]")
+                for j, o in enumerate(_list(step, key, where))),
+            belief_after=lambda step, key, where: _belief_from_list(
+                g, _list(step, key, where), where)))
+    return MissionLog(_string(doc, "status", "document"), tuple(steps))
 
 
 def mission_to_json(log: MissionLog, scenario: Scenario,

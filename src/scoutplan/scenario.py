@@ -253,10 +253,6 @@ def load_scenario(text: str) -> tuple[Scenario, GroundTruth | None]:
     nodes = _list(doc, "nodes", "document")
     labels = [_string(nodes, i, "document.nodes") for i in range(len(nodes))]
     index = {lbl: i for i, lbl in enumerate(labels)}
-    for lbl in labels:
-        if "-" in lbl:
-            # edge names join two labels with '-', so they must split back
-            raise ValidationError(f"node label {lbl!r} contains '-'")
 
     edges = []
     for i, entry in enumerate(_list(doc, "edges", "document")):

@@ -14,7 +14,6 @@ import pytest
 from scoutplan import (
     GroundTruth,
     SolveOptions,
-    aggregate_counts,
     build_model,
     compact_variable_count,
     decay_coefficients,
@@ -25,6 +24,7 @@ from scoutplan import (
     hurwicz_value,
     load_scenario_file,
     paper_parity_variable_count,
+    plan_to_assignment,
     run_ablation,
     run_mission,
     solve_milp,
@@ -237,12 +237,13 @@ def test_criterion_8_certified_solve(bundled):
            f"nodes {result.nodes}, {elapsed:.0f}s")
 
 
-def assert_counts_reaggregate(plan, scenario, plan_vars, solution):
-    carrier, scout = aggregate_counts(plan, scenario)
-    for (loc, t), vid in plan_vars.carrier_at.items():
-        assert carrier.get((loc, t), 0) == round(solution[vid])
-    for key, vid in plan_vars.scout_at.items():
-        assert scout.get(key, 0) == round(solution[vid])
+def assert_counts_reaggregate(plan, plan_vars, solution):
+    counts = plan_to_assignment(plan.carrier_routes, plan.scout_excursions,
+                                plan_vars)
+    for vid in plan_vars.carrier_at.values():
+        assert counts[vid] == round(solution[vid])
+    for vid in plan_vars.scout_at.values():
+        assert counts[vid] == round(solution[vid])
 
 
 def test_criterion_9_round_trip(tiny_corpus, bundled):
@@ -253,7 +254,7 @@ def test_criterion_9_round_trip(tiny_corpus, bundled):
         plan = extract_plan(case.solution, case.plan_vars)
         _, total = evaluate_plan_cost(case.scenario, plan)
         worst = max(worst, abs(total - case.milp_objective))
-        assert_counts_reaggregate(plan, case.scenario, case.plan_vars, case.solution)
+        assert_counts_reaggregate(plan, case.plan_vars, case.solution)
     # one bundled-scenario solve stands in for the mission-criteria solutions
     # (missions extract plans through this exact path at every step); its
     # plan flies scouts, so their counts are re-aggregated too
@@ -262,7 +263,7 @@ def test_criterion_9_round_trip(tiny_corpus, bundled):
     _, total = evaluate_plan_cost(scenario, outcome.plan)
     worst = max(worst, abs(total - outcome.result.objective))
     assert outcome.plan.scout_excursions
-    assert_counts_reaggregate(outcome.plan, scenario, build_model(scenario)[1],
+    assert_counts_reaggregate(outcome.plan, build_model(scenario)[1],
                               outcome.result.x)
     report("9 (plan/objective round trip)", worst <= 1e-9,
            f"max |evaluate(extract(x)) - objective| = {worst:.2e}")

@@ -268,9 +268,10 @@ class TestSimulate:
         assert main(["simulate", str(bare), "-o", str(tmp_path / "x")]) == 2
 
     @pytest.mark.parametrize("command, written", [
-        ("simulate", "mission.json"), ("ablate", "mission_full.json")])
+        ("simulate", "mission.json"), ("ablate", "mission_full.json"),
+        ("sweep-beta", "beta_sweep.csv")])
     def test_unreachable_goal_exits_three_and_writes_the_mission(
-            self, small_path, tmp_path, command, written):
+            self, small_path, tmp_path, capsys, command, written):
         doc = json.loads(small_path.read_text())
         doc["horizon"]["n_T"] = 2      # two hops cannot fit
         doc["ground_truth"] = {edge: trace[:2]
@@ -279,13 +280,23 @@ class TestSimulate:
         bad.write_text(json.dumps(doc))
         out = tmp_path / "o"
         assert main([command, str(bad), "-o", str(out)]) == 3
-        assert json.loads((out / written).read_text())["status"] == "infeasible"
+        assert "status infeasible" in capsys.readouterr().out
+        if written.endswith(".json"):
+            assert json.loads((out / written).read_text())["status"] == "infeasible"
+        assert (out / written).is_file()
 
-    def test_solver_limit_mission_exits_four(self, two_start_path, tmp_path):
+    @pytest.mark.parametrize("command, written", [
+        ("simulate", "mission.json"), ("ablate", "mission_full.json"),
+        ("sweep-beta", "beta_sweep.csv")])
+    def test_solver_limit_mission_exits_four(self, two_start_path, tmp_path, capsys,
+                                             command, written):
         out = tmp_path / "o"
-        assert main(["simulate", str(two_start_path), "-o", str(out),
+        assert main([command, str(two_start_path), "-o", str(out),
                      "--nodes-limit", "0"]) == 4
-        assert json.loads((out / "mission.json").read_text())["status"] == "solver-limit"
+        assert "status solver-limit" in capsys.readouterr().out
+        if written.endswith(".json"):
+            assert json.loads((out / written).read_text())["status"] == "solver-limit"
+        assert (out / written).is_file()
 
     def test_mission_log_round_trips(self, small_path):
         scenario, truth = load_scenario(small_path.read_text())
@@ -406,6 +417,28 @@ class TestMissionLoader:
                            match=rf"steps\[0\]\.belief_after\[{label}\]\.{key}"):
             report.mission_from_dict(doc, scenario)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(status=3), "document.status must be a string"),
+        (lambda d: d.update(steps={}), "document.steps must be a list"),
+        (lambda d: d["steps"][0].update(positions_after=[3]),
+         r"steps\[0\]\.positions_after\.0 must be a string"),
+        (lambda d: d["steps"][0]["observations"][0].append(1.0),
+         r"steps\[0\]\.observations\[0\] must be an \[edge, number\] pair"),
+        (lambda d: d["steps"][0]["belief_after"][0].pop("edge"),
+         r"steps\[0\]\.belief_after\[0\]: missing key 'edge'"),
+        (lambda d: d["steps"][0]["belief_after"].__setitem__(0, 5),
+         r"steps\[0\]\.belief_after\[0\] must be an object"),
+        (lambda d: d["steps"][0]["belief_after"][0].update(wieght=1.0),
+         r"steps\[0\]\.belief_after\[0\]: unknown keys \['wieght'\]"),
+    ], ids=["status", "steps", "positions_after", "observation", "belief_edge",
+            "belief_entry", "belief_key"])
+    def test_labels_lists_and_pairs_are_read_by_type(self, scouted, edit, message):
+        scenario, text = scouted
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(ParseError, match=message):
+            report.mission_from_dict(doc, scenario)
+
     def test_scouted_mission_writes_back_as_read(self, scouted):
         scenario, text = scouted
         log = report.mission_from_dict(json.loads(text), scenario)
@@ -487,6 +520,27 @@ class TestPlanLoader:
         scenario, _, text = plan
         with pytest.raises(ParseError, match=r"inspections\[0\]\.1 must be"):
             report.plan_from_dict(edited(text, ("inspections", 0, 1), value), scenario)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(routes=[[1, 2]]), r"document\.routes\.0\.0 must be a string"),
+        (lambda d: d.update(routes=5), r"document\.routes must be a list"),
+        (lambda d: d.update(steps=3), r"document\.steps must be a list"),
+        (lambda d: d["excursions"][0].update(walk=5),
+         r"excursions\[0\]\.walk must be a list"),
+        (lambda d: d["excursions"][0].update(node=5),
+         r"excursions\[0\]\.node must be a string"),
+        (lambda d: d["inspections"].__setitem__(0, ["0-2", 1, 2]),
+         r"inspections\[0\] must be an \[edge, number\] pair"),
+        (lambda d: d["inspections"].__setitem__(0, 5),
+         r"inspections\[0\] must be an \[edge, number\] pair"),
+    ], ids=["route_labels", "routes", "steps", "walk", "node", "inspection_items",
+            "inspection"])
+    def test_labels_lists_and_pairs_are_read_by_type(self, plan, edit, message):
+        scenario, _, text = plan
+        doc = json.loads(text)
+        edit(doc)
+        with pytest.raises(ParseError, match=message):
+            report.plan_from_dict(doc, scenario)
 
     @pytest.mark.parametrize("key, value", [
         ("step", 1.5), ("time_cost", "3"), ("traversal_cost", None),

@@ -6,13 +6,13 @@ import pytest
 
 from scoutplan import (
     SolveOptions,
-    aggregate_counts,
     build_model,
     compact_variable_count,
     decay_coefficients,
     extract_plan,
     heuristic_plan_from_relaxation,
     paper_parity_variable_count,
+    plan_to_assignment,
     solve_milp,
 )
 from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
@@ -174,11 +174,17 @@ class TestExtraction:
         if res.status != "optimal":
             pytest.skip("infeasible random instance")
         plan = extract_plan(res.x, pv)
-        carrier, scout = aggregate_counts(plan, sc)
-        for (loc, t), vid in pv.carrier_at.items():
-            assert carrier.get((loc, t), 0) == round(res.x[vid])
-        for (loc, s, t), vid in pv.scout_at.items():
-            assert scout.get((loc, s, t), 0) == round(res.x[vid])
+        counts = plan_to_assignment(plan.carrier_routes, plan.scout_excursions, pv)
+        for vid in pv.carrier_at.values():
+            assert counts[vid] == round(res.x[vid])
+        for vid in pv.scout_at.values():
+            assert counts[vid] == round(res.x[vid])
+
+    def test_counts_that_are_not_a_flow_are_refused(self):
+        sc = small_scenario()
+        model, pv = build_model(sc)
+        with pytest.raises(AssertionError, match="at carriers step 2: solution counts"):
+            extract_plan(np.zeros(len(model.variables)), pv)
 
     def test_breakdown_sums_to_objective(self):
         sc = small_scenario(horizon=4, scout_steps=4)

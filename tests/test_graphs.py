@@ -146,6 +146,12 @@ class TestGraphInvariants:
         with pytest.raises(ValidationError):
             Graph(["a", "b"], [(0, 1, EdgeData(math.inf, 0, 0))])
 
+    def test_rejects_hyphen_in_node_label(self):
+        # "a" + "b-c" and "a-b" + "c" would both name the edge "a-b-c"
+        data = EdgeData(1.0, 0.0, 0.0)
+        with pytest.raises(ValidationError, match="node label 'b-c' contains '-'"):
+            Graph(["a", "b-c", "a-b", "c"], [(0, 1, data), (2, 3, data)])
+
     def test_pass_through_successors(self):
         g = Graph(["a", "b", "c"], [(0, 1, EdgeData(1, 0, 0)), (1, 2, EdgeData(1, 0, 0))])
         ab = g.edge_location(0, 1)

@@ -1,17 +1,19 @@
 """solve_scenario: the time limit covers the whole solve, not just the
-search, and a node-limited tree does not depend on the BLAS thread count."""
+search, and a node-limited tree does not depend on the BLAS thread count;
+structured_candidate's path search stops at the horizon's hop budget."""
 
 import json
 import os
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from scoutplan import SolveOptions, planner
-from scoutplan.generate import random_tiny_scenario
+from scoutplan.generate import random_scaling_scenario, random_tiny_scenario
 
 
 def fake_clock(monkeypatch, *readings):
@@ -85,3 +87,36 @@ def test_node_limited_tree_ignores_the_blas_thread_count(ablation_path):
         answers.append(json.loads(out.stdout))
     assert answers[0] == answers[1]
     assert answers[0][0] == "feasible" and answers[0][3] == 25
+
+
+def every_simple_path(graph, origin, target):
+    """Every simple node path origin -> target, in depth-first order."""
+    paths = []
+    stack = [(origin, (origin,))]
+    while stack:
+        node, path = stack.pop()
+        if node == target:
+            paths.append(path)
+            continue
+        for succ_loc in graph.successors[node]:
+            if not graph.is_node(succ_loc):
+                nxt = graph.dir_edge_at(succ_loc).head
+                if nxt not in path:
+                    stack.append((nxt, path + (nxt,)))
+    return paths
+
+
+RUNGS = [(5, 7, 5, 3), (6, 8, 6, 4), (7, 10, 7, 5), (8, 12, 8, 6)]
+
+
+@pytest.mark.parametrize("horizon, rung", [*((n, None) for n in range(2, 11)),
+                                           *((None, rung) for rung in RUNGS)])
+def test_path_search_stops_at_the_hop_budget(ablation_scenario, horizon, rung):
+    scenario = (replace(ablation_scenario[0], horizon=horizon) if rung is None
+                else random_scaling_scenario(0, *rung))
+    g, max_hops = scenario.graph, scenario.horizon - 2
+    origin, target = scenario.starts[0][0], scenario.goals[0][0]
+    reference = [path for path in every_simple_path(g, origin, target)
+                 if len(path) - 1 <= max_hops]
+    assert (planner._simple_node_paths(g, origin, target, max_hops)
+            == sorted(reference, key=len)[:planner.PATH_CAP])
